@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage bench perf perf-full perf-compare perf-report demo examples examples-smoke campaign-smoke campaign-shard-smoke control-smoke metro-smoke metro-chaos-smoke docs-check clean
+.PHONY: install test coverage bench perf perf-full perf-compare perf-report perfbench-smoke demo examples examples-smoke campaign-smoke campaign-shard-smoke control-smoke metro-smoke metro-chaos-smoke docs-check clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -50,6 +50,15 @@ perf-compare:
 # (never fails the build; perf-compare is the gate).
 perf-report:
 	PYTHONPATH=src:. $(PYTHON) tools/perf_report.py
+
+# Gating check of the repository benchmark (perfbench/README.md): one
+# short untraced run of each workload on its pinned seed, so every
+# statistic in perfbench/pins.json (the SIFS ACK gap, the Figure 6
+# powers, the census digests) must still hold.  Timings are not gated.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload fig6-flood --seed 42 --seconds 1 --trace 0
+	$(PYTHON) perfbench/run.py --workload table2-dense --seed 2020 --seconds 1 --trace 0
+	$(PYTHON) perfbench/run.py --workload metro-tiled --seed 2020 --seconds 1 --trace 0
 
 demo:
 	$(PYTHON) -m repro probe

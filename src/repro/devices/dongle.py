@@ -19,13 +19,13 @@ the serializer is genuinely on the attack path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.devices.base import Device, DeviceKind
 from repro.mac.ack_engine import AckEngineConfig
 from repro.mac.frames import Frame
-from repro.mac.serialization import deserialize, serialize
+from repro.mac.serialization import FrameFormatError, deserialize, serialize
 from repro.sim.medium import Reception
 
 
@@ -34,38 +34,49 @@ class RawPsdu:
     """On-air bytes, as injected by the attacker.
 
     Receivers parse ``psdu`` through :func:`repro.mac.serialization.
-    deserialize`; the trace hooks parse lazily so capture output matches
-    what Wireshark would show.
+    deserialize`.  Every consumer of the bytes — the medium's lane
+    pre-filter (:meth:`dest_u64`), each receiver's AckEngine and the
+    trace hooks — reads one memoized decode (:meth:`decoded`), so a frame
+    heard by N receivers is checked and parsed once, not N+1 times.
+    Received frames are treated as immutable everywhere, so sharing the
+    decoded instance is safe.
     """
 
     psdu: bytes
+    _frame: Optional[Frame] = field(default=None, init=False, repr=False, compare=False)
+    _decoded: bool = field(default=False, init=False, repr=False, compare=False)
 
     def wire_length(self) -> int:
         return len(self.psdu)
 
-    def _parsed(self) -> Optional[Frame]:
-        try:
-            return deserialize(self.psdu)
-        except Exception:
-            return None
+    def decoded(self) -> Optional[Frame]:
+        """The parsed frame, or ``None`` when the FCS fails or the bytes
+        are malformed; decoded on first use and memoized."""
+        if not self._decoded:
+            try:
+                self._frame = deserialize(self.psdu)
+            except FrameFormatError:
+                self._frame = None
+            self._decoded = True
+        return self._frame
 
     def dest_u64(self) -> Optional[int]:
         """Receiver address for the medium's batch pre-filter, or ``None``
         when the bytes don't parse (every receiver then takes the scalar
         path and applies its own malformed-frame handling)."""
-        frame = self._parsed()
+        frame = self.decoded()
         return frame.dest_u64() if frame is not None else None
 
     def trace_source(self) -> str:
-        frame = self._parsed()
+        frame = self.decoded()
         return frame.trace_source() if frame is not None else "(raw)"
 
     def trace_destination(self) -> str:
-        frame = self._parsed()
+        frame = self.decoded()
         return frame.trace_destination() if frame is not None else "(raw)"
 
     def trace_info(self) -> str:
-        frame = self._parsed()
+        frame = self.decoded()
         return frame.trace_info() if frame is not None else "Malformed frame"
 
 

@@ -272,21 +272,7 @@ class AckEngine:
             stats.fcs_failures += 1
             return
         payload = reception.frame
-        if isinstance(payload, Frame):
-            frame = payload
-        else:
-            # Raw PSDU bytes: the CRC check + parse is identical for every
-            # receiver of this transmission, so the first arrival caches
-            # the decoded frame on the shared Transmission record and the
-            # other N-1 receivers reuse it.  Received frames are treated
-            # as immutable everywhere, so sharing one instance is safe.
-            cache = reception.transmission.rx_cache
-            if cache is None:
-                cache = reception.transmission.rx_cache = {}
-            try:
-                frame = cache["frame"]
-            except KeyError:
-                frame = cache["frame"] = self._as_frame(payload)
+        frame = payload if isinstance(payload, Frame) else self._as_frame(payload)
         if frame is None:
             stats.fcs_failures += 1
             return
@@ -316,13 +302,21 @@ class AckEngine:
 
     @staticmethod
     def _as_frame(payload: object) -> Optional[Frame]:
-        """Accept both typed frames and raw PSDU bytes off the air."""
+        """Accept both typed frames and raw PSDU bytes off the air.
+
+        A payload with a ``decoded()`` hook (``RawPsdu``) memoizes its
+        own decode, so every receiver of one transmission shares one CRC
+        check and parse, whoever asked first (usually the medium's lane
+        pre-filter).  Bare bytes carry no memo and are parsed here.
+        """
         if isinstance(payload, Frame):
             return payload
-        raw = getattr(payload, "psdu", payload)
-        if isinstance(raw, (bytes, bytearray)):
+        decoded = getattr(payload, "decoded", None)
+        if decoded is not None:
+            return decoded()
+        if isinstance(payload, (bytes, bytearray)):
             try:
-                return deserialize(bytes(raw))
+                return deserialize(bytes(payload))
             except FrameFormatError:
                 return None
         return None

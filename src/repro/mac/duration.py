@@ -12,6 +12,7 @@ duration from the attacker's RTS.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from repro.phy.constants import Band, sifs
@@ -24,8 +25,12 @@ def _to_duration_us(seconds: float) -> int:
     return min(int(math.ceil(seconds * 1e6)), 0x7FFF)
 
 
+@functools.lru_cache(maxsize=None)
 def data_frame_duration_us(rate_mbps: float, band: Band = Band.GHZ_2_4) -> int:
-    """NAV for a unicast data/management frame: SIFS + the responding ACK."""
+    """NAV for a unicast data/management frame: SIFS + the responding ACK.
+
+    Memoized: a pure function over the finite (rate, band) domain.
+    """
     response_rate = ack_rate_for(rate_mbps)
     return _to_duration_us(sifs(band) + ack_airtime(response_rate))
 

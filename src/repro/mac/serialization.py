@@ -64,6 +64,9 @@ _FLAG_PWR_MGT = 0x10
 _FLAG_MORE_DATA = 0x20
 _FLAG_PROTECTED = 0x40
 
+# Type bits ``11`` are reserved: no FrameType, no parse.
+_RESERVED_TYPE = 0x03
+
 # Information element identifiers.
 _IE_SSID = 0
 _IE_SUPPORTED_RATES = 1
@@ -204,7 +207,10 @@ def deserialize(psdu: bytes, check_fcs: bool = True) -> Frame:
     first, flags = data[0], data[1]
     if first & 0x03 != 0:
         raise FrameFormatError("unsupported 802.11 protocol version")
-    ftype = FrameType((first >> 2) & 0x03)
+    type_bits = (first >> 2) & 0x03
+    if type_bits == _RESERVED_TYPE:
+        raise FrameFormatError("reserved frame type")
+    ftype = FrameType(type_bits)
     subtype = (first >> 4) & 0x0F
     duration = struct.unpack_from("<H", data, 2)[0]
     addr1 = MacAddress(data[4:10])

@@ -15,6 +15,7 @@ then ``ceil((16 + 8·L + 6) / N_DBPS)`` 4 µs symbols for an L-byte PSDU.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from repro.phy.constants import (
@@ -47,11 +48,14 @@ def ofdm_symbol_count(length_bytes: int, bits_per_symbol: int) -> int:
     return math.ceil(payload_bits / bits_per_symbol)
 
 
+@functools.lru_cache(maxsize=4096)
 def frame_airtime(length_bytes: int, rate_mbps: float) -> float:
     """On-air duration (seconds) of an ``length_bytes`` PSDU at a rate.
 
     Covers DSSS (long preamble), legacy OFDM, and HT mixed-mode (legacy
-    preamble plus HT-SIG/HT-STF/HT-LTF overhead).
+    preamble plus HT-SIG/HT-STF/HT-LTF overhead).  Memoized (bounded): a
+    pure function evaluated for every transmission, over the few
+    (length, rate) pairs a run actually uses.
     """
     info = rate_info(rate_mbps)
     if info.phy is PhyType.DSSS:

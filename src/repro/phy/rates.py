@@ -13,6 +13,7 @@ Two facts from the paper live here:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -66,12 +67,15 @@ def rate_info(mbps: float) -> RateInfo:
         raise ValueError(f"unknown 802.11 rate {mbps!r} Mb/s") from None
 
 
+@functools.lru_cache(maxsize=None)
 def ack_rate_for(data_rate_mbps: float) -> float:
     """Rate at which the ACK/CTS responding to a frame is transmitted.
 
     The highest basic rate that does not exceed the eliciting frame's rate,
     chosen within the same PHY family; falls back to the lowest basic rate
     when the eliciting frame was already at the bottom of the table.
+    Memoized: a pure function over the finite rate table, called once per
+    acknowledged frame.
     """
     info = rate_info(data_rate_mbps)
     basics = BASIC_RATES_DSSS if info.phy is PhyType.DSSS else BASIC_RATES_OFDM

@@ -174,9 +174,10 @@ class Transmission:
     """An on-air frame as the medium sees it.
 
     ``rx_cache`` is a lazily-created scratch dict shared by every receiver
-    of this transmission: pure per-frame derivations (wire length, parsed
-    MAC frame) are computed once by the first arrival and reused by the
-    other N−1, instead of once per receiver.
+    of this transmission: pure per-frame derivations (the wire length)
+    are computed once by the first arrival and reused by the other N−1,
+    instead of once per receiver.  Raw PSDU payloads memoize their own
+    decoded frame (``RawPsdu.decoded``).
     """
 
     sender: str

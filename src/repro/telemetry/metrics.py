@@ -18,6 +18,7 @@ can exclude them from determinism-sensitive output (see
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "default_buckets"]
@@ -114,11 +115,11 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
+        if value != value:  # NaN compares false everywhere: overflow
+            self.bucket_counts[-1] += 1
+            return
+        # First bound with value <= bound; len(bounds) is the overflow.
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:

@@ -20,7 +20,7 @@ from repro.mac.frames import (
     RtsFrame,
 )
 from repro.mac.serialization import FrameFormatError, deserialize, serialize
-from repro.phy.crc import fcs_is_valid
+from repro.phy.crc import append_fcs, fcs_is_valid
 
 # Unicast, non-zero MACs (the all-zero address encodes "field absent" on
 # our wire format, matching how ACK/CTS omit addresses).
@@ -191,3 +191,36 @@ class TestMalformedInput:
         wire[-1] ^= 0xFF  # corrupt the FCS only
         frame = deserialize(bytes(wire), check_fcs=False)
         assert frame.is_null_data
+
+    def test_reserved_frame_type_is_a_format_error(self):
+        # Type bits 11 are reserved; with a valid FCS the parser must
+        # reject them as malformed, not leak FrameType's ValueError.
+        body = bytes([0x0C, 0x00]) + b"\x00" * 22
+        with pytest.raises(FrameFormatError, match="reserved frame type"):
+            deserialize(append_fcs(body))
+
+    @given(
+        st.one_of(
+            st.binary(min_size=0, max_size=60),
+            # Protocol version 0 with any type/subtype, so most examples
+            # get past the first header check into the typed parsers.
+            st.builds(
+                lambda type_subtype, rest: bytes([type_subtype << 2]) + rest,
+                st.integers(0, 63),
+                st.binary(min_size=0, max_size=59),
+            ),
+        )
+    )
+    def test_valid_fcs_parses_or_raises_format_error(self, body):
+        # The FCS gate is passed, so every outcome other than a frame or
+        # FrameFormatError would crash a receiver mid-simulation.
+        try:
+            deserialize(append_fcs(body))
+        except FrameFormatError:
+            pass
+
+    @given(st.integers(0, 15), st.binary(min_size=8, max_size=40))
+    def test_every_reserved_type_header_rejected(self, subtype, rest):
+        first = (0x03 << 2) | (subtype << 4)
+        with pytest.raises(FrameFormatError):
+            deserialize(append_fcs(bytes([first, 0x00]) + rest))

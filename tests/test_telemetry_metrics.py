@@ -5,6 +5,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.telemetry.export import (
     snapshot_from_json,
@@ -73,6 +74,67 @@ class TestHistogram:
     def test_rejects_empty_buckets(self):
         with pytest.raises(ValueError):
             Histogram("lat", buckets=())
+
+
+def _linear_bucket(bounds, value):
+    """Reference bucket choice: the first bound with ``value <= bound``."""
+    for index, bound in enumerate(bounds):
+        if value <= bound:
+            return index
+    return len(bounds)
+
+
+def _reference_counts(bounds, values):
+    counts = [0] * (len(bounds) + 1)
+    for value in values:
+        counts[_linear_bucket(bounds, value)] += 1
+    return counts
+
+
+class TestHistogramBucketParity:
+    """``observe`` bisects; it must bucket exactly like a linear scan."""
+
+    EDGE_VALUES = (
+        -math.inf, -1.0, 0.0, 1e-9, 1e-6, 5e-4, 1e-3, 1.0, 10.0,
+        999.0, 1e3, 1e3 + 1e-9, 1e6, math.inf, math.nan,
+    )
+
+    def _observe_all(self, bounds, values):
+        hist = Histogram("h", buckets=bounds)
+        for value in values:
+            hist.observe(value)
+        return hist
+
+    def test_default_bounds_edges(self):
+        hist = self._observe_all(None, self.EDGE_VALUES)
+        assert hist.bucket_counts == _reference_counts(hist.bounds, self.EDGE_VALUES)
+
+    def test_exact_bounds_land_in_their_own_bucket(self):
+        hist = Histogram("h")
+        for index, bound in enumerate(hist.bounds):
+            before = list(hist.bucket_counts)
+            hist.observe(bound)
+            assert hist.bucket_counts[index] == before[index] + 1
+
+    def test_nan_and_inf_overflow(self):
+        hist = self._observe_all((10.0, 16.0), (math.nan, math.inf))
+        assert hist.bucket_counts == [0, 0, 2]
+
+    def test_negative_infinity_first_bucket(self):
+        hist = self._observe_all((10.0, 16.0), (-math.inf,))
+        assert hist.bucket_counts == [1, 0, 0]
+
+    def test_infinite_bound_catches_infinity(self):
+        hist = self._observe_all((1.0, math.inf), (math.inf, math.nan))
+        assert hist.bucket_counts == [0, 1, 1]
+
+    @given(
+        st.lists(st.floats(allow_nan=False), min_size=1, max_size=8),
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
+    )
+    def test_matches_linear_scan(self, bounds, values):
+        hist = self._observe_all(bounds, values)
+        assert hist.bucket_counts == _reference_counts(hist.bounds, values)
 
 
 class TestRegistry:
