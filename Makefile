@@ -10,8 +10,9 @@ install:
 test:
 	$(PYTHON) -m pytest tests/ -q
 
-# Coverage gate over the campaign runner and the event engine — the two
-# modules the determinism/fault-injection suite pins.  Requires
+# Coverage gate over the campaign runner, the event engine, the tile
+# partitioner and the medium — the modules the determinism, fault-
+# injection and reference-medium suites pin.  Requires
 # pytest-cov (`pip install -e .[test]`); degrades to a skip notice when
 # it is absent so the bare container can still run `make test`.
 COVERAGE_FLOOR ?= 85
@@ -20,7 +21,7 @@ coverage:
 		|| { echo "coverage: pytest-cov not installed; skipping (pip install -e .[test])"; exit 0; } \
 		&& $(PYTHON) -m pytest tests/ -q \
 			--cov=repro.telemetry --cov=repro.sim.engine \
-			--cov=repro.sim.partition \
+			--cov=repro.sim.partition --cov=repro.sim.medium \
 			--cov-report=term-missing --cov-fail-under=$(COVERAGE_FLOOR)
 
 bench:

@@ -1,15 +1,12 @@
 """SoA delivery microbenchmark: one sender, thousands of receivers.
 
-The purest measurement of the vectorized struct-of-arrays hot path:
-a single channel packed with static receivers, one sender transmitting
-repeatedly, timed once with ``vectorized=True`` (the numpy range gate +
-cached delivery lists) and once with ``vectorized=False`` (the scalar
-per-receiver loop).  The first transmission pays the cold SoA build and
-budget resolution; the rest exercise the warm delivery-cache path — the
-shape every wardrive beacon takes.
-
-Outputs both walls and their ratio, so the speedup itself is tracked in
-the perf trajectory (a regression in either path moves a number).
+The purest measurement of the medium's struct-of-arrays hot path: a
+single channel packed with static receivers and one sender transmitting
+repeatedly.  The first transmission pays the cold SoA build, the numpy
+range gate and budget resolution; the rest exercise the warm
+delivery-cache path — the shape every wardrive beacon takes.  The
+receivers have no batch sink, so every arrival is handed up through
+``on_reception``.
 """
 
 from __future__ import annotations
@@ -57,10 +54,10 @@ class _SinkRadio:
         self.received += 1
 
 
-def _run_one(n_receivers: int, transmissions: int, vectorized: bool):
+def _run_one(n_receivers: int, transmissions: int):
     """Build the world, fire ``transmissions`` broadcasts, time the run."""
     engine = Engine()
-    medium = Medium(engine, vectorized=vectorized)
+    medium = Medium(engine)
     sender = _SinkRadio("tx", Position(300.0, 210.0, 3.0))
     medium.attach(sender)
     receivers = []
@@ -94,21 +91,13 @@ def bench_medium_soa(quick: bool) -> BenchOutcome:
     setup_start = time.perf_counter()
     setup_s = time.perf_counter() - setup_start
 
-    vec_wall, vec_rx = _run_one(n_receivers, transmissions, vectorized=True)
-    sca_wall, sca_rx = _run_one(n_receivers, transmissions, vectorized=False)
-    if vec_rx != sca_rx:
-        raise AssertionError(
-            f"delivery mismatch: vectorized {vec_rx} vs scalar {sca_rx}"
-        )
-
+    wall, receptions = _run_one(n_receivers, transmissions)
     return BenchOutcome(
         outputs={
             "receivers": n_receivers,
             "transmissions": transmissions,
-            "receptions": vec_rx,
-            "vectorized_s": vec_wall,
-            "scalar_s": sca_wall,
-            "speedup": (sca_wall / vec_wall) if vec_wall else 0.0,
+            "receptions": receptions,
+            "vectorized_s": wall,
         },
         metrics=metrics,
         setup_s=setup_s,

@@ -8,11 +8,8 @@ channel, a dense field of parked stations each running a real
 unicast traffic mix so all three hot lanes (group-addressed, not-for-me,
 unicast-for-me plus the ACK reply) are exercised.
 
-The same workload runs twice in one record: once on the batched
-reception path (``batched_reception=True``, the default) and once on the
-scalar escape hatch (``batched_reception=False``).  Both timings land in
-the outputs so the batched-vs-scalar ratio is tracked release over
-release; the gating ``engine_wall_s`` comes from the batched run.
+The gating ``engine_wall_s`` is the engine's own run timer over the
+traffic phase.
 """
 
 from __future__ import annotations
@@ -46,16 +43,11 @@ def _receiver_mac(index: int) -> MacAddress:
     return MacAddress(b"\x02\x10" + index.to_bytes(4, "big"))
 
 
-def _run_mode(
-    n_receivers: int,
-    sim_duration: float,
-    batched_reception: bool,
-    metrics: MetricsRegistry,
-) -> dict:
-    """Build the field fresh and run one reception mode to completion."""
+def _run(n_receivers: int, sim_duration: float, metrics: MetricsRegistry) -> dict:
+    """Build the field and run the traffic to completion."""
     setup_start = time.perf_counter()
     engine = Engine(metrics=metrics)
-    medium = Medium(engine, batched_reception=batched_reception)
+    medium = Medium(engine)
 
     sender = Radio("sender", medium, Position(0.0, 0.0, 10.0), channel=CHANNEL)
     AckEngine(sender, SENDER_MAC)
@@ -107,35 +99,18 @@ def bench_reception_path(quick: bool) -> BenchOutcome:
     sim_duration = 0.2 if quick else 0.3
 
     metrics = MetricsRegistry()
-    batched = _run_mode(n_receivers, sim_duration, True, metrics)
-    # The scalar pass gets a throwaway registry so the gating
-    # engine_wall_s reflects only the batched (default) path.
-    scalar = _run_mode(n_receivers, sim_duration, False, MetricsRegistry())
-
-    counters_match = all(
-        batched[key] == scalar[key]
-        for key in (
-            "transmissions",
-            "receptions",
-            "frames_seen",
-            "acks_sent",
-            "events_executed",
-        )
-    )
+    run = _run(n_receivers, sim_duration, metrics)
     return BenchOutcome(
         outputs={
             "receivers": n_receivers,
             "sim_s": sim_duration,
-            "transmissions": batched["transmissions"],
-            "receptions": batched["receptions"],
-            "frames_seen": batched["frames_seen"],
-            "acks_sent": batched["acks_sent"],
-            "events_executed": batched["events_executed"],
-            "batched_run_s": batched["run_s"],
-            "scalar_run_s": scalar["run_s"],
-            "scalar_over_batched": scalar["run_s"] / max(batched["run_s"], 1e-9),
-            "counters_match": int(counters_match),
+            "transmissions": run["transmissions"],
+            "receptions": run["receptions"],
+            "frames_seen": run["frames_seen"],
+            "acks_sent": run["acks_sent"],
+            "events_executed": run["events_executed"],
+            "batched_run_s": run["run_s"],
         },
         metrics=metrics,
-        setup_s=batched["setup_s"] + scalar["setup_s"],
+        setup_s=run["setup_s"],
     )

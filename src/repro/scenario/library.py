@@ -1,9 +1,8 @@
 """Built-in scenarios: the paper's headline results as registry entries.
 
 Each scenario is the declarative successor of a hand-wired entry point:
-the five ``python -m repro`` demos and the two campaign scenarios that
-used to live in ``repro/telemetry/scenarios.py`` all collapse onto the
-five entries here.  Every one is seeded, sized to finish in roughly a
+the five ``python -m repro`` demos and the two campaign scenarios all
+collapse onto the five entries here.  Every one is seeded, sized to finish in roughly a
 second at its default parameters, campaign-safe (narration goes through
 ``ctx.say`` so workers stay silent), and parameterizable via
 ``--param k=v``.

@@ -18,13 +18,14 @@ pluggable path-loss model.  The medium also implements:
 
 The medium knows nothing about 802.11 semantics; frames are opaque objects.
 It only reads three optional cosmetic hooks (``trace_source``,
-``trace_destination``, ``trace_info``) to feed the capture trace.
+``trace_destination``, ``trace_info``) to feed the capture trace, plus
+``dest_u64`` for the reception lanes below.
 
-Fast path
----------
-``transmit()`` is the simulator's hottest loop (it runs once per frame
-per attached radio), so the medium maintains two structures that make the
-common city-scale case — thousands of *stationary* radios — cheap:
+Delivery path
+-------------
+``transmit()`` is the simulator's hottest loop, so a transmission takes
+one path built for the city-scale case — thousands of *stationary*
+radios — and everything it touches is cached:
 
 * a **per-channel radio index**: radios are bucketed by channel, in
   attachment order, so a transmission only ever touches same-channel
@@ -37,48 +38,46 @@ common city-scale case — thousands of *stationary* radios — cheap:
   epoch, so static↔static links are computed exactly once; mobile radios
   (``static_position is None``) are re-read every transmission and bump
   their epoch whenever the observed position changes, invalidating every
-  cached link through them.
+  cached link through them.  An unattached sender has no epoch: its links
+  are computed fresh and never cached.
+* a per-channel **struct-of-arrays mirror** (:class:`_ChannelSoA`:
+  contiguous numpy positions, sensitivities, frequencies and receive
+  MACs, rebuilt lazily whenever the channel's bucket version moves).  A
+  cold delivery resolution prefilters the channel with one vectorized
+  range test (free-space model only: a conservative distance bound with
+  a wide safety margin, so every receiver the exact link math accepts
+  survives), resolves the candidates through the link-budget cache, and
+  orders them by ``(delay, attachment seq)``.
+* a **delivery cache**: per ``(sender, channel, power)`` the resolved
+  in-range *static* receivers as parallel lists (delays, seqs, radios,
+  RSSIs, SNRs, receive MACs, batch sinks).  A warm transmission reuses
+  them wholesale; a list made stale by a few attaches/detaches is patched
+  from the channel changelog instead of re-resolved.  Mobile receivers
+  are re-resolved every transmission and merge-inserted.
+
+The resolved list becomes one :class:`_ArrivalSpan` behind two
+:class:`~repro.sim.engine.EventBatch` heap entries (arrival starts and
+arrival ends), whatever the receiver count.  The end slice runs each
+arrival through a lane pre-filter (corrupted / not for me / group
+addressed / for me) before any :class:`Reception` exists; a radio's
+batch sink accounts for the no-op lanes from counters alone, and the
+rest are handed up through ``radio.on_reception``.
+
+The hard contract is **byte-identical seeded traces** against a medium
+that schedules one event per receiver and hands every arrival up through
+``on_reception`` (``tests/reference_medium.py``): per-pair path loss and
+propagation delay always come from the same scalar math (numpy's
+transcendental kernels differ from libm by 1 ULP on some inputs), the
+numpy stages are restricted to IEEE-exact bookkeeping (subtract,
+compare, sort) plus the provably conservative prefilter, and FER coin
+flips are drawn in arrival-end order.
 
 The cache requires ``path_loss_db`` to be a pure function of the two
-positions, which all built-in models are.  Note one deliberate behaviour
-refinement for *stateful* models with bounded memory (e.g.
-:class:`~repro.channel.propagation.ShadowedPathLoss` past its eviction
-bound): the medium now re-uses the first computed link budget instead of
-re-invoking the model after it evicted the link, so shadowing stays
-consistent for as long as the link stays cached.
-
-Vectorized delivery (struct-of-arrays)
---------------------------------------
-With ``vectorized=True`` (the default) the medium additionally keeps a
-per-channel **struct-of-arrays mirror** of the radio index
-(:class:`_ChannelSoA`: contiguous numpy arrays of positions, noise
-floors, sensitivities, frequencies, and static/mobile flags, rebuilt
-lazily whenever the channel's bucket version changes) and evaluates a
-whole delivery list per transmission instead of per receiver:
-
-* cold delivery resolution prefilters the channel with one vectorized
-  range test (free-space model only: a conservative numpy distance
-  bound with a wide safety margin, so every receiver the exact scalar
-  math could accept survives the filter), resolves only the candidates
-  through the scalar link-budget cache, and orders them with one
-  ``np.lexsort`` instead of a tuple sort;
-* the delivery cache stores **parallel arrays** (delays, attach seqs,
-  radios, RSSIs, SNRs) rather than per-receiver tuples, so a warm
-  transmission reuses them wholesale;
-* SNR and frame-error probabilities are precomputed per transmission
-  from those arrays, and the per-receiver ``_Arrival`` objects are
-  folded into one :class:`_ArrivalSpan` carried by the two
-  :class:`~repro.sim.engine.EventBatch` heap entries.
-
-The hard contract is **byte-identical seeded traces** against the
-scalar path (``vectorized=False``): per-pair path loss and propagation
-delay are always produced by the same scalar model calls (numpy's
-transcendental kernels differ from libm by 1 ULP on some inputs, which
-the determinism gate forbids), the numpy stages are restricted to
-IEEE-exact bookkeeping (subtract, compare, sort) plus the provably
-conservative prefilter, and RNG draws happen at the same points in the
-same order.  ``tests/test_vectorized_medium.py`` pins the equivalence
-across the full ``vectorized × batch_arrivals`` matrix.
+positions, which all built-in models are.  For *stateful* models with
+bounded memory (e.g. :class:`~repro.channel.propagation.ShadowedPathLoss`
+past its eviction bound) the medium re-uses the first computed link
+budget instead of re-invoking the model after it evicted the link, so
+shadowing stays consistent for as long as the link stays cached.
 
 One contract the arrays add for :class:`RadioPort` implementors:
 ``rx_sensitivity_dbm`` must stay constant while the radio is attached
@@ -94,7 +93,6 @@ import math
 import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heappush
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
@@ -224,89 +222,19 @@ class Reception:
         return self.end - self.start
 
 
-class _Arrival:
-    """An in-flight frame at one receiver — and its own event callback.
-
-    The instance is scheduled directly on the engine (:meth:`Engine.post`)
-    for *both* phases of its life: the first call is the arrival start
-    (first symbol at the antenna), which re-posts the same object for the
-    arrival end one frame-duration later.  One allocation per arrival,
-    no closures, no Event handles.
-    """
-
-    __slots__ = (
-        "medium",
-        "radio",
-        "transmission",
-        "rssi_dbm",
-        "corrupted",
-        "corrupt_reason",
-        "_started",
-        "ongoing",
-    )
-
-    def __init__(
-        self,
-        medium: "Medium",
-        radio: RadioPort,
-        transmission: Transmission,
-        rssi_dbm: float,
-    ) -> None:
-        self.medium = medium
-        self.radio = radio
-        self.transmission = transmission
-        self.rssi_dbm = rssi_dbm
-        self.corrupted = False
-        self.corrupt_reason: Optional[CorruptionReason] = None
-        self._started = False
-        #: Receiver's live-arrival list, set at arrival start so the end
-        #: phase needn't repeat the dict lookup.
-        self.ongoing: Optional[List["_Arrival"]] = None
-
-    def __call__(self) -> None:
-        if self._started:
-            self.medium._arrival_end(self)
-        else:
-            self._started = True
-            self.medium._arrival_start(self)
-
-
-def _corrupt_handle(handle, reason: CorruptionReason) -> None:
-    """Mark an in-flight arrival corrupted; works on both handle kinds.
-
-    The scalar path tracks arrivals as :class:`_Arrival` objects; the
-    vectorized path as ``(span, index)`` tuples into an
-    :class:`_ArrivalSpan`.  A receiver's air state can hold both at once
-    (an unattached sender's scalar arrival overlapping a span's), so the
-    capture/half-duplex machinery goes through these accessors.
-    """
-    if type(handle) is tuple:
-        handle[0].reasons[handle[1]] = reason
-    else:
-        handle.corrupted = True
-        handle.corrupt_reason = reason
-
-
-def _handle_rssi(handle) -> float:
-    """RSSI of an in-flight arrival, for either handle kind."""
-    if type(handle) is tuple:
-        return handle[0].rssis[handle[1]]
-    return handle.rssi_dbm
-
-
-#: Reception lanes handed to ``Radio.on_reception_batch`` by the batched
-#: reception path.  A lane names the *verdict* of the vectorized
-#: pre-filter for one arrival, computed before any :class:`Reception`
-#: object exists; a consumer that can fully account for the arrival from
-#: the lane alone (counters only, no observable side effects) returns
-#: ``True`` and the medium skips ``Reception`` construction entirely.
+#: Reception lanes handed to ``Radio.on_reception_batch`` by the end
+#: slice.  A lane names the *verdict* of the vectorized pre-filter for
+#: one arrival, computed before any :class:`Reception` object exists; a
+#: consumer that can fully account for the arrival from the lane alone
+#: (counters only, no observable side effects) returns ``True`` and the
+#: medium skips ``Reception`` construction entirely.
 LANE_FCS_FAIL = 0  # frame corrupted (collision, half-duplex, FER coin)
 LANE_NOT_FOR_ME = 1  # clean unicast addressed to a different MAC
 LANE_GROUP = 2  # clean group-addressed (broadcast/multicast) frame
 
 #: Span-level lane classification states (``_ArrivalSpan.lane_mode``).
 _LANES_UNSET = 0  # not classified yet (first arrival end computes it)
-_LANES_SCALAR = 1  # no fast lanes: every arrival takes the scalar path
+_LANES_SCALAR = 1  # no fast lanes: every arrival is handed up
 _LANES_GROUP = 2  # group-addressed frame: LANE_GROUP for every receiver
 _LANES_UNICAST = 3  # unicast: per-receiver for-me / not-for-me split
 
@@ -317,6 +245,12 @@ _NO_MAC = 0xFFFF_FFFF_FFFF_FFFF
 #: Group/multicast bit of a 48-bit MAC viewed as a big-endian integer
 #: (the LSB of the first address byte).
 _GROUP_BIT = 1 << 40
+
+
+def _rx_mac(radio) -> int:
+    """The receive MAC a radio advertises (``rx_mac_u64``), or ``_NO_MAC``."""
+    mac = getattr(radio, "rx_mac_u64", None)
+    return _NO_MAC if mac is None else mac
 
 
 def _batch_sink(radio):
@@ -335,31 +269,35 @@ def _batch_sink(radio):
     return getattr(radio, "on_reception_batch", None)
 
 
+def _slot(delays: List[float], seqs: List[int], delay: float, seq: int) -> int:
+    """Insert position keeping parallel lists sorted by ``(delay, seq)``.
+
+    Attachment seqs are unique, so this is the position a full tuple
+    sort would give the new row.
+    """
+    lo = bisect_left(delays, delay)
+    return bisect_left(seqs, seq, lo, bisect_right(delays, delay, lo))
+
+
 class _ArrivalSpan:
     """Every arrival of one transmission, struct-of-arrays style.
 
-    The vectorized medium resolves a transmission's whole delivery list
-    up front — parallel arrays of radios, RSSIs, SNRs, and frame-error
-    probabilities — and schedules *one* span behind the two
-    :class:`~repro.sim.engine.EventBatch` heap entries, instead of
-    allocating one :class:`_Arrival` per receiver.  ``begin(i)`` /
-    ``end(i)`` replicate the scalar arrival lifecycle for receiver ``i``
-    exactly: same corruption rules, same RNG draw points, same
-    positional :class:`Reception` construction, so seeded traces stay
-    byte-identical across the modes.
+    The medium resolves a transmission's whole delivery list up front —
+    parallel lists of radios, RSSIs, SNRs, and frame-error probabilities
+    — and schedules *one* span as the slice handler of two
+    :class:`~repro.sim.engine.EventBatch` heap entries: ``begin_slice``
+    for the arrival starts and ``end_slice`` for the arrival ends.  Each
+    takes over the engine's drain for a contiguous run of due arrivals.
 
-    ``reasons[i]`` doubles as the corruption flag (``None`` = clean),
-    and ``(span, i)`` tuples stand in for ``_Arrival`` objects on the
-    receivers' live-arrival lists.
+    ``reasons[i]`` doubles as the corruption flag (``None`` = clean), and
+    ``(span, i)`` tuples are the handles on the receivers' live-arrival
+    lists that the capture and half-duplex rules mark.
 
-    With ``batched_reception`` the span is also the *slice handler* for
-    the two :class:`~repro.sim.engine.EventBatch` entries
-    (``begin_slice`` / ``end_slice``): each takes over the engine's
-    inline drain for a contiguous run of same-deadline arrivals, and the
-    end slice routes each arrival through the lane pre-filter before any
-    :class:`Reception` exists.  Lanes are classified lazily, once per
-    span, from the frame's destination address (``dest_u64``) against
-    the per-receiver MAC mirror carried in ``macs`` / ``mac_arr``.
+    The end slice routes each arrival through the lane pre-filter before
+    any :class:`Reception` exists.  Lanes are classified lazily, once per
+    span (again if a receiver is re-addressed mid-flight), from the
+    frame's destination address (``dest_u64``) against the per-receiver
+    MAC mirror carried in ``macs`` / ``mac_arr``.
     """
 
     __slots__ = (
@@ -384,17 +322,17 @@ class _ArrivalSpan:
         "ctr_delivered",
         "ctr_dropped",
         "csi_model",
-        # Batched-reception lane state: per-receiver MAC mirror (uint64
-        # ints, _NO_MAC when unknown), pre-resolved on_reception_batch
-        # bound methods (None for ports without one), optional numpy
-        # view of `macs` for one-comparison classification, and the
-        # lazily computed verdicts.
+        # Lane state: per-receiver MAC mirror (uint64 ints, _NO_MAC when
+        # unknown), pre-resolved batch sinks (None for ports without
+        # one), optional numpy view of `macs` for one-comparison
+        # classification, and the lazily computed verdicts.
         "macs",
         "sinks",
         "mac_arr",
         "lane_mode",
         "for_me",
         "frame_key",
+        "addressing",
         # Per-batch absolute due times (`base + offset + shift`, computed
         # with the engine's exact left-associated float adds), cached on
         # first slice call so window boundaries are bisections instead of
@@ -411,9 +349,9 @@ class _ArrivalSpan:
         rssis: List[float],
         snrs: List[float],
         fers: Optional[List[float]],
-        macs: Optional[List[int]] = None,
-        sinks: Optional[list] = None,
-        mac_arr: Optional[np.ndarray] = None,
+        macs: List[int],
+        sinks: list,
+        mac_arr: Optional[np.ndarray],
     ) -> None:
         self.medium = medium
         self.transmission = transmission
@@ -441,93 +379,39 @@ class _ArrivalSpan:
         self.lane_mode = _LANES_UNSET
         self.for_me: Optional[List[bool]] = None
         self.frame_key = None
+        self.addressing = medium._addressing
         self.due_begin: Optional[List[float]] = None
         self.due_end: Optional[List[float]] = None
 
-    def begin(self, i: int) -> None:
-        """First symbol at receiver ``i``'s antenna (mirrors _arrival_begin)."""
-        name = self.radios[i].name
-        ongoing_map = self.ongoing_map
-        ongoing = ongoing_map.get(name)
-        if ongoing is None:
-            ongoing = ongoing_map[name] = []
-        tx_end = self.transmitting.get(name)
-        if tx_end is not None and tx_end > self.clock._now:
-            self.reasons[i] = CorruptionReason.RECEIVER_TRANSMITTING
-        handle = (self, i)
-        if ongoing:
-            self.medium._resolve_overlap(ongoing, handle)
-        ongoing.append(handle)
-        self.ongoing_lists[i] = ongoing
-        self.handles[i] = handle
-
-    def end(self, i: int) -> None:
-        """Last symbol at receiver ``i`` (mirrors _arrival_end)."""
-        radio = self.radios[i]
-        name = radio.name
-        ongoing = self.ongoing_lists[i]
-        if ongoing:
-            try:
-                ongoing.remove(self.handles[i])
-            except ValueError:
-                pass
-        if name not in self.attached:
-            return  # detached mid-flight
-        transmission = self.transmission
-        reason = self.reasons[i]
-        fcs_ok = reason is None
-        if fcs_ok:
-            fers = self.fers
-            if fers is not None:
-                probability = fers[i]
-                if probability > 0.0 and self.medium._rng_draw() < probability:
-                    fcs_ok = False
-        if fcs_ok:
-            ctr = self.ctr_delivered
-        else:
-            ctr = self.ctr_dropped
-        if ctr is not None:
-            ctr.value += 1
-        now = self.clock._now
-        csi = None
-        csi_model = self.csi_model
-        if csi_model is not None:
-            csi = csi_model(transmission.sender, name, now)
-        while_transmitting = reason is CorruptionReason.RECEIVER_TRANSMITTING
-        radio.on_reception(
-            Reception(
-                transmission.frame,
-                transmission,
-                self.rssis[i],
-                self.snrs[i],
-                transmission.start,
-                now,
-                fcs_ok,
-                (reason is not None) and not while_transmitting,
-                while_transmitting,
-                csi,
-            )
-        )
-
-    # -- batched reception -------------------------------------------------
-
     def _classify(self) -> None:
-        """Compute the span's lane verdicts, once, before the first dispatch.
+        """Compute the span's lane verdicts before the first dispatch.
+
+        Re-run whenever a receiver changed its MAC or handlers since the
+        delivery list was resolved (the medium's ``_addressing`` counter
+        moved): the span then re-reads every receiver's MAC and batch
+        sink, so an arrival still in flight is classified and dispatched
+        by what its receiver is when the arrival ends.
 
         The pre-filter needs only the frame's receiver address: the
         ``dest_u64`` hook (on :class:`~repro.mac.frames.Frame` and
         ``RawPsdu``) yields it as a 48-bit big-endian integer, or
         ``None`` when unparseable — then, as whenever a CSI model is
         installed (its per-arrival invocation has its own RNG ordering),
-        every arrival takes the scalar path.  A group destination makes
-        the whole span ``LANE_GROUP``; a unicast destination is compared
-        against the receiver-MAC mirror — one numpy comparison when the
-        cached array is available — splitting the span into for-me
-        (scalar) and ``LANE_NOT_FOR_ME`` arrivals.
+        every arrival is handed up.  A group destination makes the whole
+        span ``LANE_GROUP``; a unicast destination is compared against
+        the receiver-MAC mirror — one numpy comparison when the cached
+        array is available — splitting the span into for-me (handed up)
+        and ``LANE_NOT_FOR_ME`` arrivals.
         """
+        medium = self.medium
+        if self.addressing != medium._addressing:
+            self.addressing = medium._addressing
+            self.macs = [_rx_mac(radio) for radio in self.radios]
+            self.sinks = [_batch_sink(radio) for radio in self.radios]
+            self.mac_arr = None
         mode = _LANES_SCALAR
         self.frame_key = None
-        if self.csi_model is None and self.sinks is not None:
+        if self.csi_model is None:
             frame = self.transmission.frame
             hook = getattr(frame, "dest_u64", None)
             dest = hook() if hook is not None else None
@@ -544,10 +428,14 @@ class _ArrivalSpan:
                     else:
                         self.for_me = [m == dest for m in self.macs]
                     mode = _LANES_UNICAST
+        if mode == _LANES_SCALAR:
+            # No sink may take an arrival of a lane-less span (and
+            # ``for_me`` is unset there), so every arrival is handed up.
+            self.sinks = [None] * len(self.radios)
         self.lane_mode = mode
 
     def _hand_up(self, i: int, fcs_ok: bool, reason) -> None:
-        """Scalar tail of ``end(i)``: build the Reception and dispatch it."""
+        """Build arrival ``i``'s Reception and hand it to the radio."""
         transmission = self.transmission
         radio = self.radios[i]
         now = self.clock._now
@@ -556,6 +444,8 @@ class _ArrivalSpan:
         if csi_model is not None:
             csi = csi_model(transmission.sender, radio.name, now)
         while_transmitting = reason is CorruptionReason.RECEIVER_TRANSMITTING
+        # Positional construction: 10 keyword arguments per Reception is
+        # measurable at wardrive arrival rates.
         radio.on_reception(
             Reception(
                 transmission.frame,
@@ -574,13 +464,13 @@ class _ArrivalSpan:
     def _window(self, due: List[float], i: int, n: int, engine) -> int:
         """End index of the contiguous due run starting at ``i``.
 
-        Encodes the engine drain's yield conditions as two bisections
-        over the precomputed due times: items process while they are
-        within the run limit and strictly before the next heap event
-        (none of which can change between items unless an upcall runs).
-        The first item is always due — the engine popped the batch at
-        its time — and exact-time ties with the last processed item
-        always process, both exactly as the index-mode drain behaves.
+        Encodes the engine's yield conditions as two bisections over the
+        precomputed due times: items process while they are within the
+        run limit and strictly before the next heap event (none of which
+        can change between items unless an upcall runs).  The first item
+        is always due — the engine popped the batch at its time — and
+        exact-time ties with the last processed item always process, as
+        if every item had been posted individually in list order.
         """
         if engine._stopped:
             j = i + 1
@@ -598,16 +488,14 @@ class _ArrivalSpan:
         return j
 
     def begin_slice(self, batch) -> int:
-        """Slice-mode arrival starts: ``begin(i)`` for a run of due items.
+        """Arrival starts: join each due receiver's air state.
 
-        Equivalent to the engine's index-mode drain — same processable
-        run, same final clock value — but the whole window is computed
-        up front (:meth:`_window`): arrival starts never run user code
-        and never touch the heap, so the yield conditions cannot change
-        mid-run and the per-item time arithmetic and boundary checks
-        vanish.  The clock is written once at the end; the per-item
-        "receiver transmitting" test uses each arrival's own due time,
-        which is exactly the value the clock would have held.
+        Arrival starts never run user code and never touch the heap, so
+        the yield conditions cannot change mid-run and the whole window
+        is computed up front (:meth:`_window`).  The clock is written
+        once at the end; the per-item "receiver transmitting" test uses
+        each arrival's own due time, which is exactly the value the
+        clock would have held.
         """
         offsets = batch.offsets
         i = batch.index
@@ -647,26 +535,27 @@ class _ArrivalSpan:
         return j
 
     def end_slice(self, batch) -> int:
-        """Slice-mode arrival ends: the lane pre-filter dispatch loop.
+        """Arrival ends: the lane pre-filter dispatch loop.
 
         For each due arrival: remove the live-arrival handle, skip
-        receivers detached mid-flight, flip the FER coin (same RNG draw
-        point and order as the scalar path), then classify.  Arrivals a
-        lane consumer fully accounts for (``sinks[i](lane, span, i)``
-        returning ``True``) never construct a :class:`Reception`; the
-        rest fall back to the byte-identical scalar dispatch.  Delivered
-        and dropped tallies accumulate locally and flush before every
-        scalar upcall, so any code observing the counters mid-slice sees
-        exactly the scalar path's values.
+        receivers detached mid-flight, flip the FER coin (arrival-end
+        order), then classify.  Arrivals a lane consumer fully accounts
+        for (``sinks[i](lane, span, i)`` returning ``True``) never
+        construct a :class:`Reception`; the rest are handed up through
+        ``radio.on_reception``.  A span without fast lanes (CSI-tagged or
+        unparseable frames) hands every arrival up.  Delivered and
+        dropped tallies accumulate locally and flush before every
+        upcall, so any code observing the counters mid-slice sees the
+        values a per-arrival count would give.
 
         The drain is windowed (:meth:`_window`): lane consumers never
         touch the engine — they account through span data and their own
         counters (the contract on ``frame_handler_batch``) — so the
-        yield conditions only change at scalar upcalls, and the window
-        is recomputed exactly there.  The clock advances lazily: nothing
-        in a fast-lane run can observe it, so it is written to the
-        arrival's due time only before an upcall and at the window end,
-        landing on the same final value the per-item drain produces.
+        yield conditions only change at upcalls, and the window is
+        recomputed when an upcall stopped the run, changed the heap head
+        or re-addressed a receiver.  The clock advances lazily: nothing in a fast-lane run can
+        observe it, so it is written to the arrival's due time only
+        before an upcall and at the window end.
         """
         offsets = batch.offsets
         i = batch.index
@@ -678,11 +567,6 @@ class _ArrivalSpan:
             base = batch.base
             shift = batch.shift
             due = self.due_end = [base + off + shift for off in offsets]
-        if self.lane_mode == _LANES_UNSET:
-            self._classify()
-        lane_mode = self.lane_mode
-        if lane_mode == _LANES_SCALAR:
-            return self._end_slice_scalar(batch, due)
         clock = self.clock
         heap = engine._heap
         limit = engine._run_limit
@@ -692,9 +576,6 @@ class _ArrivalSpan:
         attached = self.attached
         ongoing_lists = self.ongoing_lists
         handles = self.handles
-        is_group = lane_mode == _LANES_GROUP
-        sinks = self.sinks
-        for_me = self.for_me
         ctr_delivered = self.ctr_delivered
         ctr_dropped = self.ctr_dropped
         n_delivered = 0
@@ -712,15 +593,18 @@ class _ArrivalSpan:
                     or (heap and t >= heap[0][0])
                 ):
                     break
+            if self.lane_mode == _LANES_UNSET or self.addressing != medium._addressing:
+                self._classify()
+            is_group = self.lane_mode == _LANES_GROUP
+            sinks = self.sinks
+            for_me = self.for_me
             j = self._window(due, i, n, engine)
+            head = heap[0] if heap else None
             upcall = -1
             for idx in range(i, j):
-                ongoing = ongoing_lists[idx]
-                if ongoing:
-                    try:
-                        ongoing.remove(handles[idx])
-                    except ValueError:
-                        pass
+                # Every end follows its own start (duration > 0), so the
+                # handle is on the list the start appended it to.
+                ongoing_lists[idx].remove(handles[idx])
                 radio = radios[idx]
                 if radio.name not in attached:
                     continue  # detached mid-flight
@@ -745,9 +629,8 @@ class _ArrivalSpan:
                     elif not for_me[idx]:
                         if sink(LANE_NOT_FOR_ME, self, idx):
                             continue
-                # Scalar fallback: sync the clock and the public
-                # counters first, so the upcall observes exactly the
-                # per-item drain's state.
+                # Upcall: sync the clock and the public counters first,
+                # so the handler observes exactly the per-arrival state.
                 t = due[idx]
                 if t > clock._now:
                     clock._now = t
@@ -760,11 +643,19 @@ class _ArrivalSpan:
                         ctr_dropped.value += n_dropped
                     n_dropped = 0
                 self._hand_up(idx, fcs_ok, reason)
-                upcall = idx
-                break
+                if (
+                    engine._stopped
+                    or (heap[0] if heap else None) is not head
+                    or self.addressing != medium._addressing
+                ):
+                    # The upcall stopped the run, changed the heap head,
+                    # or re-addressed a receiver: recompute the window
+                    # and the lanes.
+                    upcall = idx
+                    break
             if upcall < 0:
-                # Clean window: no upcall ran, so the boundary state the
-                # window was computed from is unchanged and j is final.
+                # No upcall moved the boundary state the window was
+                # computed from, so j is final.
                 i = j
                 t = due[j - 1]
                 if t > clock._now:
@@ -778,67 +669,6 @@ class _ArrivalSpan:
         if n_dropped and ctr_dropped is not None:
             ctr_dropped.value += n_dropped
         return i
-
-    def _end_slice_scalar(self, batch, due: List[float]) -> int:
-        """Per-item arrival-end drain for spans with no fast lanes.
-
-        CSI-tagged or unparseable transmissions upcall for every
-        attached receiver, so the windowed loop would recompute its
-        boundary per item; this mirror of the engine's index-mode drain
-        is cheaper there.
-        """
-        i = batch.index
-        n = len(due)
-        medium = self.medium
-        engine = medium.engine
-        heap = engine._heap
-        limit = engine._run_limit
-        clock = self.clock
-        radios = self.radios
-        reasons = self.reasons
-        fers = self.fers
-        attached = self.attached
-        ongoing_lists = self.ongoing_lists
-        handles = self.handles
-        ctr_delivered = self.ctr_delivered
-        ctr_dropped = self.ctr_dropped
-        rng_draw = medium._rng_draw
-        while True:
-            ongoing = ongoing_lists[i]
-            if ongoing:
-                try:
-                    ongoing.remove(handles[i])
-                except ValueError:
-                    pass
-            radio = radios[i]
-            if radio.name in attached:
-                reason = reasons[i]
-                fcs_ok = reason is None
-                if fcs_ok and fers is not None:
-                    probability = fers[i]
-                    if probability > 0.0 and rng_draw() < probability:
-                        fcs_ok = False
-                if fcs_ok:
-                    if ctr_delivered is not None:
-                        ctr_delivered.value += 1
-                elif ctr_dropped is not None:
-                    ctr_dropped.value += 1
-                self._hand_up(i, fcs_ok, reason)
-            i += 1
-            if i == n:
-                return i
-            t = due[i]
-            if t > clock._now:
-                # Upcalls may schedule events or stop the run, so the
-                # heap head and stop flag are re-read every iteration,
-                # exactly like the engine's index-mode drain.
-                if (
-                    t > limit
-                    or engine._stopped
-                    or (heap and t >= heap[0][0])
-                ):
-                    return i
-                clock._now = t
 
 
 class _RadioEntry:
@@ -863,14 +693,12 @@ class _ChannelSoA:
 
     Parallel contiguous numpy arrays over the bucket (in attachment
     order): antenna positions (NaN for mobiles, whose positions are
-    re-read every transmission anyway), receive sensitivities, per-
-    receiver noise floors and carrier frequencies (uniform today — one
-    medium, one band — but carried per receiver so heterogeneous
-    front-ends only have to change this constructor), attachment
-    sequence numbers, and the static/mobile flag.  Rebuilt lazily
-    whenever the channel's bucket version moves; ``entries`` snapshots
-    the bucket so a rebuild can never race an attach/detach (those bump
-    the version).
+    re-read every transmission anyway), receive sensitivities, carrier
+    frequencies (uniform today — one medium, one band — but carried per
+    receiver so heterogeneous front-ends only have to change this
+    constructor) and receive MACs.  Rebuilt lazily whenever the
+    channel's bucket version moves; ``entries`` snapshots the bucket so
+    a rebuild can never race an attach/detach (those bump the version).
 
     The arrays snapshot ``rx_sensitivity_dbm`` per bucket version, which
     is why :class:`RadioPort` requires it constant while attached.
@@ -880,13 +708,9 @@ class _ChannelSoA:
         "version",
         "entries",
         "count",
-        "seqs",
         "sens_dbm",
-        "noise_dbm",
         "freq_hz",
         "xyz",
-        "static_mask",
-        "mac_u64",
         "mac_list",
         "limit2_by_power",
     )
@@ -895,7 +719,6 @@ class _ChannelSoA:
         self,
         version: int,
         bucket: List[_RadioEntry],
-        noise_floor_dbm: float,
         frequency_hz: float,
     ) -> None:
         self.version = version
@@ -903,36 +726,26 @@ class _ChannelSoA:
         self.entries = entries
         n = len(entries)
         self.count = n
-        self.seqs = np.empty(n, dtype=np.int64)
         self.sens_dbm = np.empty(n, dtype=np.float64)
-        self.xyz = np.empty((n, 3), dtype=np.float64)
-        self.static_mask = np.empty(n, dtype=bool)
-        #: Receiver MAC mirror for the batched-reception pre-filter: the
-        #: address each radio answers to (``rx_mac_u64``, published by
-        #: its AckEngine) as a uint64, ``_NO_MAC`` when unadvertised.
-        #: Snapshot per bucket version like every other column;
-        #: :meth:`Medium.note_addressing_changed` bumps the version when
-        #: an address is (re)published after attach.
-        self.mac_u64 = np.empty(n, dtype=np.uint64)
-        xyz = self.xyz
+        self.xyz = xyz = np.empty((n, 3), dtype=np.float64)
+        #: Receiver MAC mirror for the lane pre-filter: the address each
+        #: radio answers to (``rx_mac_u64``, published by its AckEngine),
+        #: ``_NO_MAC`` when unadvertised.  Snapshot per bucket version
+        #: like every other column; :meth:`Medium.note_addressing_changed`
+        #: bumps the version when an address is (re)published after
+        #: attach.  Kept as Python ints so the cold delivery scan copies
+        #: addresses without per-element numpy boxing.
+        self.mac_list: List[int] = []
         for i, e in enumerate(entries):
-            self.seqs[i] = e.seq
             self.sens_dbm[i] = e.radio.rx_sensitivity_dbm
-            mac = getattr(e.radio, "rx_mac_u64", None)
-            self.mac_u64[i] = _NO_MAC if mac is None else mac
+            self.mac_list.append(_rx_mac(e.radio))
             pos = e.static_pos
             if pos is None:
-                self.static_mask[i] = False
                 xyz[i, 0] = xyz[i, 1] = xyz[i, 2] = math.nan
             else:
-                self.static_mask[i] = True
                 xyz[i, 0] = pos.x
                 xyz[i, 1] = pos.y
                 xyz[i, 2] = pos.z
-        #: Python-int view of ``mac_u64`` so the cold delivery scan can
-        #: copy addresses without per-element numpy boxing.
-        self.mac_list: List[int] = self.mac_u64.tolist()
-        self.noise_dbm = np.full(n, noise_floor_dbm)
         self.freq_hz = np.full(n, frequency_hz)
         #: power_dbm -> squared range-gate limit (slack included); the
         #: limit depends only on per-receiver constants and the transmit
@@ -958,6 +771,11 @@ class _ChannelSoA:
 class Medium:
     """The broadcast medium binding radios together.
 
+    Every transmission takes the delivery path of the module docstring:
+    SoA-prefiltered, cached delivery lists, one arrival span per
+    transmission behind two slice-mode ``EventBatch`` entries, and the
+    lane pre-filter at arrival end.
+
     Parameters
     ----------
     engine:
@@ -982,29 +800,6 @@ class Medium:
         defaults to the engine's registry, so instrumenting the engine
         instruments the medium too.  Maintains ``medium.frames.*``
         counters and the cumulative ``medium.airtime_s``.
-    batch_arrivals:
-        Schedule one pair of :class:`~repro.sim.engine.EventBatch` heap
-        entries per transmission instead of one heap entry per receiver.
-        ``False`` restores per-receiver scheduling.
-    vectorized:
-        Struct-of-arrays delivery evaluation (see the module docstring):
-        per-channel numpy mirrors, a vectorized free-space range
-        prefilter, parallel-array delivery caches, and span-based
-        arrival batches.  ``False`` restores the per-receiver scalar
-        path.  All four ``vectorized × batch_arrivals`` combinations
-        produce byte-identical seeded traces.
-    batched_reception:
-        Batch-first reception dispatch (requires ``vectorized`` and
-        ``batch_arrivals``): arrival batches drain as contiguous slices
-        (:class:`~repro.sim.engine.EventBatch` slice mode), and a
-        vectorized pre-filter classifies each slice into below-FCS /
-        not-for-me / group-addressed / unicast-for-me lanes before any
-        :class:`Reception` object exists — no-op lanes only bump stats
-        counters, and ``Reception`` is constructed lazily for the
-        surviving arrivals.  ``False`` restores per-index dispatch
-        through ``Radio.on_reception``; all eight
-        ``vectorized × batch_arrivals × batched_reception`` combinations
-        produce byte-identical seeded traces.
     """
 
     def __init__(
@@ -1019,9 +814,6 @@ class Medium:
         capture_threshold_db: float = DEFAULT_CAPTURE_THRESHOLD_DB,
         rng: Optional[np.random.Generator] = None,
         metrics=None,
-        batch_arrivals: bool = True,
-        vectorized: bool = True,
-        batched_reception: bool = True,
     ) -> None:
         self.engine = engine
         self.metrics = (
@@ -1097,21 +889,19 @@ class Medium:
         #: (sender, channel, power_dbm) -> the resolved in-range *static*
         #: receiver list of the sender's last transmission on that channel
         #: at that power, sorted by arrival order (delay, then attachment
-        #: order).  Scalar layout: (bucket_version, tx_epoch,
-        #: [(delay_s, attach_seq, radio, rssi_dbm), ...]).  Vectorized
-        #: layout: (bucket_version, tx_epoch, delays, attach_seqs,
-        #: radios, rssis, snrs) as parallel lists, so a warm transmission
-        #: reuses whole delivery arrays without re-deriving SNR.  Mobile
-        #: receivers are deliberately excluded from both layouts: they
-        #: are re-resolved every transmission from the link-budget cache,
-        #: so a moving receiver (the wardrive rig) no longer invalidates
-        #: every sender's warm list.  The channel is part of the key
-        #: because each channel's version counter is independent: a
-        #: retuned sender must never validate an old channel's list
-        #: against the new channel's counter.  While nothing in the
-        #: bucket changes, a repeat transmission skips the whole
-        #: per-receiver scan.  FIFO-capped at ``LINK_CACHE_MAX_ENTRIES``
-        #: like the link and FER caches.
+        #: order), as parallel lists: (bucket_version, tx_epoch, delays,
+        #: attach_seqs, radios, rssis, snrs, fer_lists, macs, sinks,
+        #: mac_arr).  ``fer_lists`` memoizes the frame-error probability
+        #: list per (rate, length); ``mac_arr`` is a numpy view of
+        #: ``macs`` for lists longer than 64.  Mobile receivers are
+        #: deliberately excluded: they are re-resolved every transmission
+        #: from the link-budget cache, so a moving receiver (the wardrive
+        #: rig) never invalidates a sender's warm list.  The channel is
+        #: part of the key because each channel's version counter is
+        #: independent: a retuned sender must never validate an old
+        #: channel's list against the new channel's counter.
+        #: FIFO-capped at ``LINK_CACHE_MAX_ENTRIES`` like the link and FER
+        #: caches.
         self._delivery_cache: Dict[Tuple[str, int, float], tuple] = {}
         self.link_cache_hits = 0
         self.link_cache_misses = 0
@@ -1119,28 +909,19 @@ class Medium:
         #: FER model is a pure function of its arguments (all built-ins
         #: are); cached link budgets make SNR values repeat exactly.
         self._fer_cache: Dict[Tuple[float, float, int], float] = {}
-        #: Receiver name -> live in-flight arrivals: _Arrival objects
-        #: (scalar path) and/or (span, index) tuples (vectorized path).
+        #: Bumped by every ``note_addressing_changed``: arrival spans
+        #: compare it to re-read the MACs and batch sinks of receivers
+        #: re-addressed while the span was in flight.
+        self._addressing = 0
+        #: Receiver name -> live in-flight arrivals as (span, index) handles.
         self._ongoing: Dict[str, list] = {}
         self._transmitting: Dict[str, float] = {}  # radio name -> tx end time
         self.transmission_count = 0
-        #: Batched arrival scheduling: one pair of EventBatch heap entries
-        #: per transmission instead of one heap entry per (transmission,
-        #: receiver) pair.  ``False`` restores per-receiver scheduling
-        #: (the regression tests pin both modes to identical traces).
-        self._batch_arrivals = batch_arrivals
-        #: Struct-of-arrays delivery evaluation (module docstring).
-        self._vectorized = vectorized
-        #: Batch-first reception dispatch: slice-mode arrival batches +
-        #: vectorized lane pre-filter (class docstring).  Only effective
-        #: on the vectorized batched path; ``False`` is the per-index
-        #: reference mode the equivalence matrix pins.
-        self._batched_reception = batched_reception
-        #: The vectorized range prefilter solves the default free-space
-        #: model in the distance domain; a custom model disables it (the
-        #: candidate scan then walks the whole bucket, still vectorized
-        #: downstream).  ``_path_loss`` is fixed at construction, so this
-        #: flag cannot go stale.
+        #: The vectorized range prefilter and the inlined link math solve
+        #: the default free-space model; a custom model disables both
+        #: (the candidate scan then walks the whole bucket).
+        #: ``_path_loss`` is fixed at construction, so this flag cannot go
+        #: stale.
         self._free_space = path_loss_db is None
         #: channel -> _ChannelSoA mirror, rebuilt when the bucket version
         #: moves.
@@ -1246,8 +1027,11 @@ class Medium:
         onto the radio (``rx_mac_u64``) *after* the radio attached, so
         any SoA mirror or delivery list resolved in between carries a
         stale/absent address.  Bumping the bucket version forces both to
-        rebuild before the next classification.
+        rebuild before the next classification, and arrival spans already
+        in flight re-read their receivers' addressing before they next
+        dispatch.
         """
+        self._addressing += 1
         entry = self._entries.get(radio_name)
         if entry is not None:
             self._bump_bucket(entry.channel, "m", entry)
@@ -1295,27 +1079,10 @@ class Medium:
             if old_mobiles is not None and entry in old_mobiles:
                 old_mobiles.remove(entry)
         entry.channel = channel
-        bucket = self._channels.setdefault(channel, [])
         # Insert preserving attachment order (retunes are rare; scans hot).
-        lo, hi = 0, len(bucket)
-        seq = entry.seq
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if bucket[mid].seq < seq:
-                lo = mid + 1
-            else:
-                hi = mid
-        bucket.insert(lo, entry)
+        _insert_by_seq(self._channels.setdefault(channel, []), entry)
         if mobile:
-            mobiles = self._mobiles.setdefault(channel, [])
-            lo, hi = 0, len(mobiles)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if mobiles[mid].seq < seq:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            mobiles.insert(lo, entry)
+            _insert_by_seq(self._mobiles.setdefault(channel, []), entry)
         self._bump_bucket(old_channel)
         self._bump_bucket(channel)
 
@@ -1342,15 +1109,7 @@ class Medium:
         mobiles = self._mobiles.setdefault(entry.channel, [])
         if static is None:
             if entry not in mobiles:
-                lo, hi = 0, len(mobiles)
-                seq = entry.seq
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if mobiles[mid].seq < seq:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                mobiles.insert(lo, entry)
+                _insert_by_seq(mobiles, entry)
         elif entry in mobiles:
             mobiles.remove(entry)
         self._bump_bucket(entry.channel)
@@ -1366,9 +1125,6 @@ class Medium:
     def __contains__(self, name: str) -> bool:
         return name in self._radios
 
-    def radio(self, name: str) -> RadioPort:
-        return self._radios[name]
-
     @property
     def link_cache_size(self) -> int:
         return len(self._link_cache)
@@ -1382,25 +1138,64 @@ class Medium:
     # ------------------------------------------------------------------
     # Channel state queries
     # ------------------------------------------------------------------
-    def _observed_position(
-        self, entry: _RadioEntry, radio: RadioPort, time: float
-    ) -> Position:
-        """Current position with the same epoch discipline as transmit().
+    def _observed_position(self, entry: _RadioEntry, time: float) -> Position:
+        """Current position of an attached radio, bumping its epoch on moves.
 
         Static radios return their pinned position; mobile radios are
-        re-read, and an observed move bumps the epoch exactly like the
-        per-transmission prescan does, so query-path and delivery-path
-        budgets can never disagree about where a radio is.
+        re-read, and an observed move bumps the epoch, invalidating every
+        cached link budget through the radio.  Transmissions, mobile
+        receivers and the queries below all read positions through here,
+        so query-path and delivery-path budgets can never disagree about
+        where a radio is.
         """
         static = entry.static_pos
         if static is not None:
             return static
-        position = radio.current_position(time)
+        position = entry.radio.current_position(time)
         last = entry.last_pos
         if position is not last and position != last:
             entry.last_pos = position
             entry.epoch += 1
         return position
+
+    def _link(
+        self,
+        sender_name: str,
+        tx_epoch: Optional[int],
+        tx_position: Position,
+        rx: _RadioEntry,
+        rx_position: Position,
+    ) -> Tuple[float, float]:
+        """``(path loss dB, propagation delay s)`` of one link.
+
+        Resolved through the link-budget cache, keyed on both endpoints'
+        position epochs.  An unattached sender (``tx_epoch is None``) has
+        no epoch to key on, so its links are computed fresh and never
+        stored.  Under the free-space default the loss and the delay both
+        derive from one ``distance_to()`` result, bit-identically to
+        :func:`free_space_path_loss_db` plus ``propagation_delay_to``.
+        """
+        cache = self._link_cache
+        key = (sender_name, rx.name)
+        if tx_epoch is not None:
+            row = cache.get(key)
+            if row is not None and row[0] == tx_epoch and row[1] == rx.epoch:
+                self.link_cache_hits += 1
+                return row[2], row[3]
+        if self._free_space:
+            distance = tx_position.distance_to(rx_position)
+            wavelength = 299_792_458.0 / self.frequency_hz
+            loss = 20.0 * math.log10(4.0 * math.pi * max(distance, 1.0) / wavelength)
+            delay = distance / 299_792_458.0
+        else:
+            loss = self._path_loss(tx_position, rx_position)
+            delay = tx_position.propagation_delay_to(rx_position)
+        if tx_epoch is not None:
+            if len(cache) >= LINK_CACHE_MAX_ENTRIES:
+                cache.pop(next(iter(cache)))
+            cache[key] = (tx_epoch, rx.epoch, loss, delay)
+            self.link_cache_misses += 1
+        return loss, delay
 
     def rssi_between(self, tx_name: str, rx_name: str, time: float) -> float:
         """Would-be RSSI of a 20 dBm transmission between two radios.
@@ -1409,51 +1204,27 @@ class Medium:
         ``transmit()`` uses, so an ad-hoc query returns exactly the loss
         a delivery would see (including frozen shadowing for stateful
         path-loss models) instead of re-invoking the model out of band.
-        Unattached radios fall back to a fresh model call — they have no
-        epoch to key a cache entry on.
+        Both radios must be attached: an unattached name raises
+        ``KeyError``.
         """
-        tx = self._radios[tx_name]
-        rx = self._radios[rx_name]
-        tx_entry = self._entries.get(tx_name)
-        rx_entry = self._entries.get(rx_name)
-        if tx_entry is None or rx_entry is None:
-            loss = self._path_loss(
-                tx.current_position(time), rx.current_position(time)
-            )
-            return 20.0 - loss
-        tx_position = self._observed_position(tx_entry, tx, time)
-        rx_position = self._observed_position(rx_entry, rx, time)
-        cache = self._link_cache
-        key = (tx_name, rx_name)
-        cached = cache.get(key)
-        if (
-            cached is not None
-            and cached[0] == tx_entry.epoch
-            and cached[1] == rx_entry.epoch
-        ):
-            loss = cached[2]
-        else:
-            loss = self._path_loss(tx_position, rx_position)
-            delay = tx_position.propagation_delay_to(rx_position)
-            if len(cache) >= LINK_CACHE_MAX_ENTRIES:
-                cache.pop(next(iter(cache)))
-            cache[key] = (tx_entry.epoch, rx_entry.epoch, loss, delay)
+        tx_entry = self._entries[tx_name]
+        rx_entry = self._entries[rx_name]
+        tx_position = self._observed_position(tx_entry, time)
+        rx_position = self._observed_position(rx_entry, time)
+        loss, _delay = self._link(
+            tx_name, tx_entry.epoch, tx_position, rx_entry, rx_position
+        )
         return 20.0 - loss
 
     def is_busy_for(self, radio_name: str, cca_threshold_dbm: float = -82.0) -> bool:
         """Carrier-sense verdict: any ongoing arrival above the CCA level?
 
-        Reads the same per-span RSSI arrays the delivery path filled in,
-        for either in-flight representation.
+        Reads the same per-span RSSI lists the delivery path filled in.
         """
-        for handle in self._ongoing.get(radio_name, ()):
-            if _handle_rssi(handle) >= cca_threshold_dbm:
+        for span, i in self._ongoing.get(radio_name, ()):
+            if span.rssis[i] >= cca_threshold_dbm:
                 return True
         return False
-
-    def is_transmitting(self, radio_name: str) -> bool:
-        end = self._transmitting.get(radio_name)
-        return end is not None and end > self.engine.now
 
     # ------------------------------------------------------------------
     # Randomness
@@ -1463,8 +1234,7 @@ class Medium:
 
         Identical sequence to calling ``self._rng.random()`` directly
         (block refills consume the same bit stream), but ~10x cheaper
-        per draw.  Both the vectorized and scalar delivery paths draw
-        through here, in arrival order, so the two stay in lockstep.
+        per draw.  Arrival ends draw through here in arrival-end order.
         """
         pos = self._rng_pos
         buf = self._rng_buf
@@ -1485,6 +1255,18 @@ class Medium:
             f"{self._rng.bit_generator.state!r}"
         )
         return zlib.crc32(key.encode())
+
+    def _fer_probability(self, snr: float, rate: float, length: int) -> float:
+        """Memoized ``fer(snr, rate, length)`` (the model is pure)."""
+        fer_cache = self._fer_cache
+        key = (snr, rate, length)
+        probability = fer_cache.get(key)
+        if probability is None:
+            probability = self._fer(snr, rate, length)
+            if len(fer_cache) >= LINK_CACHE_MAX_ENTRIES:
+                fer_cache.pop(next(iter(fer_cache)))
+            fer_cache[key] = probability
+        return probability
 
     # ------------------------------------------------------------------
     # Transmission
@@ -1509,32 +1291,22 @@ class Medium:
         sender_name = sender.name
         channel = sender.channel
         entry = self._entries.get(sender_name)
-        if entry is not None and entry.channel != channel:
-            # Self-heal for RadioPorts that mutate a plain channel
-            # attribute instead of calling retune().
-            self.retune(sender_name, channel)
         if entry is None:
             # Unattached senders are legal (they just cannot receive);
-            # their links bypass the cache since they have no epoch.
+            # with no epoch to key on, their links resolve fresh.
             tx_position = sender.current_position(now)
-            tx_epoch = -1
-            cacheable = False
+            tx_epoch = None
         else:
-            static = entry.static_pos
-            if static is not None:
-                tx_position = static
-            else:
-                tx_position = sender.current_position(now)
-                last = entry.last_pos
-                if tx_position is not last and tx_position != last:
-                    # Mobile radios never appear in cached (static-only)
-                    # delivery lists, so movement only bumps the epoch —
-                    # invalidating cached link budgets through this radio
-                    # — and leaves every warm delivery list valid.
-                    entry.last_pos = tx_position
-                    entry.epoch += 1
+            if entry.channel != channel:
+                # Self-heal for RadioPorts that mutate a plain channel
+                # attribute instead of calling retune().
+                self.retune(sender_name, channel)
+            # Mobile senders never appear in cached (static-only) delivery
+            # lists, so movement only bumps the epoch — invalidating
+            # cached link budgets through this radio — and leaves every
+            # warm delivery list valid.
+            tx_position = self._observed_position(entry, now)
             tx_epoch = entry.epoch
-            cacheable = True
         transmission = Transmission(
             sender=sender_name,
             frame=frame,
@@ -1559,8 +1331,8 @@ class Medium:
         self._transmitting[sender_name] = max(
             self._transmitting.get(sender_name, 0.0), now + duration
         )
-        for handle in self._ongoing.get(sender_name, []):
-            _corrupt_handle(handle, CorruptionReason.RECEIVER_TRANSMITTING)
+        for span, i in self._ongoing.get(sender_name, ()):
+            span.reasons[i] = CorruptionReason.RECEIVER_TRANSMITTING
 
         if self.trace is not None:
             self.trace.add(
@@ -1572,180 +1344,22 @@ class Medium:
                 length=getattr(frame, "wire_length", lambda: None)(),
             )
 
-        bucket = self._channels.get(channel)
-        if bucket:
-            if cacheable and self._vectorized:
-                self._deliver_vectorized(
-                    engine,
-                    now,
-                    sender_name,
-                    tx_epoch,
-                    tx_position,
-                    channel,
-                    power_dbm,
-                    transmission,
-                    duration,
-                )
-                return transmission
-            cache = self._link_cache
-            path_loss = self._path_loss
-            targets: List[Tuple[float, int, RadioPort, float]]
-            if cacheable:
-                hits = misses = 0
-                version = self._bucket_version.get(channel, 0)
-                delivery_key = (sender_name, channel, power_dbm)
-                cached_delivery = self._delivery_cache.get(delivery_key)
-                if (
-                    cached_delivery is not None
-                    and cached_delivery[0] == version
-                    and cached_delivery[1] == tx_epoch
-                ):
-                    static_targets = cached_delivery[2]
-                    hits += len(static_targets)
-                else:
-                    # Cold: resolve every in-range *static* same-channel
-                    # member and cache the sorted list.  Mobile members are
-                    # never in this list — they are re-resolved fresh below,
-                    # so their movement cannot stale it.
-                    static_targets = []
-                    for rx in bucket:
-                        rx_position = rx.static_pos
-                        if rx_position is None:
-                            continue
-                        rx_name = rx.name
-                        if rx_name == sender_name:
-                            continue
-                        radio = rx.radio
-                        key = (sender_name, rx_name)
-                        cached = cache.get(key)
-                        if (
-                            cached is not None
-                            and cached[0] == tx_epoch
-                            and cached[1] == rx.epoch
-                        ):
-                            loss = cached[2]
-                            delay = cached[3]
-                            hits += 1
-                        else:
-                            loss = path_loss(tx_position, rx_position)
-                            delay = tx_position.propagation_delay_to(rx_position)
-                            if len(cache) >= LINK_CACHE_MAX_ENTRIES:
-                                cache.pop(next(iter(cache)))
-                            cache[key] = (tx_epoch, rx.epoch, loss, delay)
-                            misses += 1
-                        rssi = power_dbm - loss
-                        if rssi < radio.rx_sensitivity_dbm:
-                            continue
-                        static_targets.append((delay, rx.seq, radio, rssi))
-                    static_targets.sort()
-                    delivery_cache = self._delivery_cache
-                    if len(delivery_cache) >= LINK_CACHE_MAX_ENTRIES:
-                        delivery_cache.pop(next(iter(delivery_cache)))
-                    delivery_cache[delivery_key] = (version, tx_epoch, static_targets)
-                # Mobile members: re-read the position every transmission
-                # (bumping the epoch on movement, so cached budgets through
-                # them invalidate) and resolve through the link cache.
-                targets = static_targets
-                mobiles = self._mobiles.get(channel)
-                if mobiles:
-                    mobile_targets = []
-                    for rx in mobiles:
-                        rx_name = rx.name
-                        if rx_name == sender_name:
-                            continue
-                        radio = rx.radio
-                        rx_position = radio.current_position(now)
-                        last = rx.last_pos
-                        if rx_position is not last and rx_position != last:
-                            rx.last_pos = rx_position
-                            rx.epoch += 1
-                        key = (sender_name, rx_name)
-                        cached = cache.get(key)
-                        if (
-                            cached is not None
-                            and cached[0] == tx_epoch
-                            and cached[1] == rx.epoch
-                        ):
-                            loss = cached[2]
-                            delay = cached[3]
-                            hits += 1
-                        else:
-                            loss = path_loss(tx_position, rx_position)
-                            delay = tx_position.propagation_delay_to(rx_position)
-                            if len(cache) >= LINK_CACHE_MAX_ENTRIES:
-                                cache.pop(next(iter(cache)))
-                            cache[key] = (tx_epoch, rx.epoch, loss, delay)
-                            misses += 1
-                        rssi = power_dbm - loss
-                        if rssi < radio.rx_sensitivity_dbm:
-                            continue
-                        mobile_targets.append((delay, rx.seq, radio, rssi))
-                    if mobile_targets:
-                        targets = static_targets + mobile_targets
-                        targets.sort()
-                self.link_cache_hits += hits
-                self.link_cache_misses += misses
-            else:
-                # Unattached sender: fresh walk, bypassing every cache
-                # (the sender has no epoch to key on).
-                targets = []
-                for rx in bucket:
-                    rx_name = rx.name
-                    if rx_name == sender_name:
-                        continue
-                    radio = rx.radio
-                    rx_position = rx.static_pos
-                    if rx_position is None:
-                        rx_position = radio.current_position(now)
-                        last = rx.last_pos
-                        if rx_position is not last and rx_position != last:
-                            rx.last_pos = rx_position
-                            rx.epoch += 1
-                    loss = path_loss(tx_position, rx_position)
-                    delay = tx_position.propagation_delay_to(rx_position)
-                    rssi = power_dbm - loss
-                    if rssi < radio.rx_sensitivity_dbm:
-                        continue
-                    targets.append((delay, rx.seq, radio, rssi))
-                targets.sort()
-            if targets:
-                if self._batch_arrivals:
-                    # Two heap entries per transmission — one batch walks
-                    # the arrival starts, the other the arrival ends —
-                    # regardless of receiver count.  End times are
-                    # (now + delay) + duration, the exact floats the
-                    # per-receiver path produces.
-                    offsets = []
-                    arrivals = []
-                    for delay, _seq, radio, rssi in targets:
-                        offsets.append(delay)
-                        arrivals.append(_Arrival(self, radio, transmission, rssi))
-                    engine.post_batch(
-                        EventBatch(engine, self._arrival_begin, now, 0.0, offsets, arrivals)
-                    )
-                    engine.post_batch(
-                        EventBatch(engine, self._arrival_end, now, duration, offsets, arrivals)
-                    )
-                else:
-                    # Per-receiver scheduling, inlining Engine.post:
-                    # arrival times are never in the past (delay >= 0) so
-                    # the guard is redundant.  Sequence numbers advance
-                    # exactly as post() calls would, so ordering matches.
-                    heap = engine._heap
-                    seq = engine._scheduled
-                    for delay, _seq, radio, rssi in targets:
-                        heappush(
-                            heap,
-                            (now + delay, seq, _Arrival(self, radio, transmission, rssi)),
-                        )
-                        seq += 1
-                    engine._scheduled = seq
-                    if len(heap) > engine._heap_peak:
-                        engine._heap_peak = len(heap)
+        if self._channels.get(channel):
+            self._deliver(
+                engine,
+                now,
+                sender_name,
+                tx_epoch,
+                tx_position,
+                channel,
+                power_dbm,
+                transmission,
+                duration,
+            )
         return transmission
 
     # ------------------------------------------------------------------
-    # Vectorized delivery (struct-of-arrays)
+    # Delivery resolution
     # ------------------------------------------------------------------
     def _channel_soa(self, channel: int) -> _ChannelSoA:
         """The channel's SoA mirror, rebuilt iff the bucket version moved."""
@@ -1755,11 +1369,102 @@ class Medium:
             soa = _ChannelSoA(
                 version,
                 self._channels.get(channel) or [],
-                self.noise_floor_dbm,
                 self.frequency_hz,
             )
             self._soa_cache[channel] = soa
         return soa
+
+    def _resolve_static(
+        self,
+        version: int,
+        channel: int,
+        sender_name: str,
+        tx_epoch: Optional[int],
+        tx_position: Position,
+        power_dbm: float,
+    ) -> tuple:
+        """Cold resolution of a sender's static delivery list.
+
+        One vectorized range gate over the channel's SoA mirror picks the
+        candidate receivers; the survivors get the exact scalar link
+        budget (:meth:`_link`), and the in-range ones are ordered by
+        ``(delay, attach seq)``.  Returns the delivery-cache tuple (see
+        ``_delivery_cache``); the caller decides whether to cache it.
+        """
+        soa = self._channel_soa(channel)
+        soa_macs = soa.mac_list
+        entries = soa.entries
+        if soa.count and self._free_space:
+            # Vectorized range gate.  In exact arithmetic the free-space
+            # in-range test  power − loss(d) ≥ sens  is
+            # d ≤ dmax = (λ/4π)·10^((power−sens)/20)  with loss clamped
+            # below 1 m (clamping dmax up to 1 m only admits extra
+            # candidates).  Both sides here are float-rounded, so the
+            # comparison gets ~1e-9 relative + absolute slack — about a
+            # million ULPs wider than the rounding error — and survivors
+            # are re-checked with the exact scalar math below: admitting
+            # extra is wasted work, never a wrong verdict, and nothing the
+            # exact test accepts can be excluded.  Mobiles carry NaN
+            # positions, and NaN comparisons are False, so they fall out
+            # automatically (they are re-resolved per transmission).
+            diff = soa.xyz - (tx_position.x, tx_position.y, tx_position.z)
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            candidates = [
+                (entries[j], soa_macs[j])
+                for j in np.flatnonzero(d2 <= soa.limit2(power_dbm))
+            ]
+        else:
+            candidates = [
+                (e, soa_macs[j])
+                for j, e in enumerate(entries)
+                if e.static_pos is not None
+            ]
+        link = self._link
+        targets: List[tuple] = []
+        for rx, rx_mac in candidates:
+            if rx.name == sender_name:
+                continue
+            loss, delay = link(sender_name, tx_epoch, tx_position, rx, rx.static_pos)
+            rssi = power_dbm - loss
+            radio = rx.radio
+            if rssi < radio.rx_sensitivity_dbm:
+                continue
+            targets.append((delay, rx.seq, radio, rssi, rx_mac, _batch_sink(radio)))
+        noise_floor = self.noise_floor_dbm
+        mac_arr = None
+        if len(targets) <= 64:
+            # Tuple sort: identical (delay, seq) order to the lexsort
+            # below (seqs are unique so later fields never compare), and
+            # cheaper than five numpy round-trips at typical
+            # neighbourhood sizes.
+            targets.sort()
+            delays = [t[0] for t in targets]
+            seqs = [t[1] for t in targets]
+            radios = [t[2] for t in targets]
+            rssis = [t[3] for t in targets]
+            snrs = [t[3] - noise_floor for t in targets]
+            macs = [t[4] for t in targets]
+            sinks = [t[5] for t in targets]
+        else:
+            c_delays, c_seqs, c_radios, c_rssis, c_macs, c_sinks = zip(*targets)
+            delay_arr = np.asarray(c_delays)
+            order = np.lexsort((np.asarray(c_seqs), delay_arr))
+            delays = delay_arr[order].tolist()
+            seqs = [c_seqs[k] for k in order]
+            radios = [c_radios[k] for k in order]
+            rssi_arr = np.asarray(c_rssis)[order]
+            rssis = rssi_arr.tolist()
+            # IEEE-exact: elementwise double subtraction rounds
+            # identically to the scalar `rssi - noise_floor`.
+            snrs = (rssi_arr - noise_floor).tolist()
+            macs = [c_macs[k] for k in order]
+            sinks = [c_sinks[k] for k in order]
+            # Large static lists get a numpy view of the MAC column so
+            # lane classification is one vectorized comparison.
+            mac_arr = np.array(macs, dtype=np.uint64)
+        return (
+            version, tx_epoch, delays, seqs, radios, rssis, snrs, {}, macs, sinks, mac_arr
+        )
 
     def _patch_delivery(
         self,
@@ -1771,19 +1476,18 @@ class Medium:
         tx_position: Position,
         power_dbm: float,
     ) -> Optional[tuple]:
-        """Advance a stale vectorized delivery list by replaying the log.
+        """Advance a stale delivery list by replaying the channel log.
 
-        Returns the re-cached 11-tuple, or ``None`` when the changelog
-        cannot cover the gap (poisoned, trimmed, or absent) and a full
-        cold resolution is required.  The replay produces exactly the
-        list a cold resolution would: additions get the same scalar link
-        budget through the same cache and the same ``(delay, attach
-        seq)`` binary insert the mobile merge uses (unique seqs make
-        that order identical to the full sort), removals and addressing
-        updates locate members by attachment seq.  Only static members
-        matter — mobiles are re-resolved every transmission — and only
-        attach/detach/addressing mutations are replayable; position and
-        channel changes poison the log.
+        Returns the fresh delivery-cache tuple, or ``None`` when the
+        changelog cannot cover the gap (poisoned, trimmed, or absent) and
+        a full cold resolution is required.  The replay produces exactly
+        the list a cold resolution would: additions get the same link
+        budget through :meth:`_link` and the same ``(delay, attach seq)``
+        insert position a full sort gives (:func:`_slot`), removals and
+        addressing updates locate members by attachment seq.  Only
+        static members matter — mobiles are re-resolved every
+        transmission — and only attach/detach/addressing mutations are
+        replayable; position and channel changes poison the log.
         """
         log = self._bucket_log.get(channel)
         if log is None:
@@ -1798,315 +1502,125 @@ class Medium:
         snrs = list(cached[6])
         macs = list(cached[8])
         sinks = list(cached[9])
-        cache = self._link_cache
-        free_space = self._free_space
-        path_loss = self._path_loss
         noise_floor = self.noise_floor_dbm
-        wavelength = 299_792_458.0 / self.frequency_hz
-        hits = misses = 0
         for _v, op, e in log[idx:]:
             if e.name == sender_name or e.static_pos is None:
                 continue  # the sender itself / a mobile: never listed
+            radio = e.radio
             if op == "+":
-                radio = e.radio
-                key = (sender_name, e.name)
-                row = cache.get(key)
-                if row is not None and row[0] == tx_epoch and row[1] == e.epoch:
-                    loss = row[2]
-                    delay = row[3]
-                    hits += 1
-                else:
-                    rx_position = e.static_pos
-                    if free_space:
-                        distance = tx_position.distance_to(rx_position)
-                        loss = 20.0 * math.log10(
-                            4.0 * math.pi * max(distance, 1.0) / wavelength
-                        )
-                        delay = distance / 299_792_458.0
-                    else:
-                        loss = path_loss(tx_position, rx_position)
-                        delay = tx_position.propagation_delay_to(rx_position)
-                    if len(cache) >= LINK_CACHE_MAX_ENTRIES:
-                        cache.pop(next(iter(cache)))
-                    cache[key] = (tx_epoch, e.epoch, loss, delay)
-                    misses += 1
+                loss, delay = self._link(
+                    sender_name, tx_epoch, tx_position, e, e.static_pos
+                )
                 rssi = power_dbm - loss
                 if rssi < radio.rx_sensitivity_dbm:
                     continue
-                seq = e.seq
-                lo, hi = 0, len(delays)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if delays[mid] < delay or (
-                        delays[mid] == delay and seqs[mid] < seq
-                    ):
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                delays.insert(lo, delay)
-                seqs.insert(lo, seq)
-                radios.insert(lo, radio)
-                rssis.insert(lo, rssi)
-                snrs.insert(lo, rssi - noise_floor)
-                rx_mac = getattr(radio, "rx_mac_u64", None)
-                macs.insert(lo, _NO_MAC if rx_mac is None else rx_mac)
-                sinks.insert(lo, _batch_sink(radio))
-            else:
-                try:
-                    k = seqs.index(e.seq)
-                except ValueError:
-                    continue  # was out of range for this sender
-                if op == "-":
-                    del delays[k]
-                    del seqs[k]
-                    del radios[k]
-                    del rssis[k]
-                    del snrs[k]
-                    del macs[k]
-                    del sinks[k]
-                else:  # "m": receive MAC / batch sink changed
-                    radio = e.radio
-                    rx_mac = getattr(radio, "rx_mac_u64", None)
-                    macs[k] = _NO_MAC if rx_mac is None else rx_mac
-                    sinks[k] = _batch_sink(radio)
-        self.link_cache_hits += hits
-        self.link_cache_misses += misses
+                k = _slot(delays, seqs, delay, e.seq)
+                delays.insert(k, delay)
+                seqs.insert(k, e.seq)
+                radios.insert(k, radio)
+                rssis.insert(k, rssi)
+                snrs.insert(k, rssi - noise_floor)
+                macs.insert(k, _rx_mac(radio))
+                sinks.insert(k, _batch_sink(radio))
+                continue
+            try:
+                k = seqs.index(e.seq)
+            except ValueError:
+                continue  # was out of range for this sender
+            if op == "-":
+                del delays[k], seqs[k], radios[k], rssis[k], snrs[k], macs[k], sinks[k]
+            else:  # "m": receive MAC / batch sink changed
+                macs[k] = _rx_mac(radio)
+                sinks[k] = _batch_sink(radio)
         mac_arr = np.array(macs, dtype=np.uint64) if len(macs) > 64 else None
-        fresh = (
-            version,
-            tx_epoch,
-            delays,
-            seqs,
-            radios,
-            rssis,
-            snrs,
-            {},
-            macs,
-            sinks,
-            mac_arr,
+        return (
+            version, tx_epoch, delays, seqs, radios, rssis, snrs, {}, macs, sinks, mac_arr
         )
+
+    def _cache_delivery(self, key: Tuple[str, int, float], entry: tuple) -> None:
         delivery_cache = self._delivery_cache
         if len(delivery_cache) >= LINK_CACHE_MAX_ENTRIES:
             delivery_cache.pop(next(iter(delivery_cache)))
-        delivery_cache[(sender_name, channel, power_dbm)] = fresh
-        return fresh
+        delivery_cache[key] = entry
 
-    def _deliver_vectorized(
+    def _deliver(
         self,
         engine: Engine,
         now: float,
         sender_name: str,
-        tx_epoch: int,
+        tx_epoch: Optional[int],
         tx_position: Position,
         channel: int,
         power_dbm: float,
         transmission: Transmission,
         duration: float,
     ) -> None:
-        """Resolve and schedule a whole delivery list, struct-of-arrays style.
+        """Resolve and schedule a transmission's whole delivery list.
 
-        Stage 1 (cold only): one vectorized range gate over the channel's
-        SoA mirror picks the candidate receivers; the survivors get the
-        exact scalar link-budget math (numpy's transcendental kernels are
-        1 ULP off libm on some inputs, and seeded traces are
-        bit-compared, so the scalar model calls stay authoritative).  One
-        ``np.lexsort`` orders the list; parallel arrays (delays, seqs,
-        radios, RSSIs, SNRs) go into the delivery cache.
-
-        Stage 2 (every transmission): mobile receivers are re-resolved
-        scalar-style and merge-inserted; frame-error probabilities are
-        precomputed from the SNR array; the whole list is scheduled as
-        one :class:`_ArrivalSpan` behind two ``EventBatch`` entries (or
-        per-receiver ``_Arrival`` pushes when ``batch_arrivals=False``).
+        The static list comes warm from the delivery cache, patched from
+        the channel log, or cold from :meth:`_resolve_static` (always
+        cold, and never cached, for an unattached sender).  Mobile
+        receivers are then re-resolved and merge-inserted, frame-error
+        probabilities are precomputed per receiver, and the list is
+        scheduled as one :class:`_ArrivalSpan` behind two slice-mode
+        ``EventBatch`` entries.
         """
-        cache = self._link_cache
-        path_loss = self._path_loss
-        free_space = self._free_space
-        hits = misses = 0
         version = self._bucket_version.get(channel, 0)
         delivery_key = (sender_name, channel, power_dbm)
-        cached_delivery = self._delivery_cache.get(delivery_key)
-        if cached_delivery is not None:
-            if cached_delivery[1] != tx_epoch:
-                cached_delivery = None
-            elif cached_delivery[0] != version:
-                cached_delivery = self._patch_delivery(
-                    cached_delivery,
-                    version,
-                    channel,
-                    sender_name,
-                    tx_epoch,
-                    tx_position,
-                    power_dbm,
-                )
-        if cached_delivery is not None:
-            delays = cached_delivery[2]
-            seqs = cached_delivery[3]
-            radios = cached_delivery[4]
-            rssis = cached_delivery[5]
-            snrs = cached_delivery[6]
-            fer_lists = cached_delivery[7]
-            macs = cached_delivery[8]
-            sinks = cached_delivery[9]
-            mac_arr = cached_delivery[10]
-            hits += len(delays)
-        else:
-            soa = self._channel_soa(channel)
-            soa_macs = soa.mac_list
-            if soa.count and free_space:
-                # Vectorized range gate.  In exact arithmetic the
-                # free-space in-range test  power − loss(d) ≥ sens  is
-                # d ≤ dmax = (λ/4π)·10^((power−sens)/20)  with loss
-                # clamped below 1 m (clamping dmax up to 1 m only admits
-                # extra candidates).  Both sides here are float-rounded,
-                # so the comparison gets ~1e-9 relative + absolute slack
-                # — about a million ULPs wider than the rounding error —
-                # and survivors are re-checked with the exact scalar
-                # math below: admitting extra is wasted work, never a
-                # wrong verdict, and nothing the scalar path accepts can
-                # be excluded.  Mobiles carry NaN positions, and NaN
-                # comparisons are False, so they fall out automatically
-                # (they are re-resolved per transmission anyway).
-                diff = soa.xyz - (tx_position.x, tx_position.y, tx_position.z)
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                entries = soa.entries
-                candidates = [
-                    (entries[j], soa_macs[j])
-                    for j in np.flatnonzero(d2 <= soa.limit2(power_dbm))
-                ]
-            else:
-                candidates = [
-                    (e, soa_macs[j])
-                    for j, e in enumerate(soa.entries)
-                    if e.static_pos is not None
-                ]
-            # Survivors get the exact scalar link budget (shared distance:
-            # the loss and delay both derive from the one distance_to()
-            # result, bit-identically to the model + propagation_delay_to
-            # pair the scalar path calls).
-            wavelength = 299_792_458.0 / self.frequency_hz
-            c_targets: List[tuple] = []
-            for rx, rx_mac in candidates:
-                rx_name = rx.name
-                if rx_name == sender_name:
-                    continue
-                radio = rx.radio
-                key = (sender_name, rx_name)
-                cached = cache.get(key)
-                if (
-                    cached is not None
-                    and cached[0] == tx_epoch
-                    and cached[1] == rx.epoch
-                ):
-                    loss = cached[2]
-                    delay = cached[3]
-                    hits += 1
-                else:
-                    rx_position = rx.static_pos
-                    if free_space:
-                        distance = tx_position.distance_to(rx_position)
-                        loss = 20.0 * math.log10(
-                            4.0 * math.pi * max(distance, 1.0) / wavelength
-                        )
-                        delay = distance / 299_792_458.0
-                    else:
-                        loss = path_loss(tx_position, rx_position)
-                        delay = tx_position.propagation_delay_to(rx_position)
-                    if len(cache) >= LINK_CACHE_MAX_ENTRIES:
-                        cache.pop(next(iter(cache)))
-                    cache[key] = (tx_epoch, rx.epoch, loss, delay)
-                    misses += 1
-                rssi = power_dbm - loss
-                if rssi < radio.rx_sensitivity_dbm:
-                    continue
-                c_targets.append(
-                    (
-                        delay,
-                        rx.seq,
-                        radio,
-                        rssi,
-                        rx_mac,
-                        _batch_sink(radio),
+        delivery = None
+        if tx_epoch is not None:
+            delivery = self._delivery_cache.get(delivery_key)
+            if delivery is not None:
+                if delivery[1] != tx_epoch:
+                    delivery = None
+                elif delivery[0] != version:
+                    delivery = self._patch_delivery(
+                        delivery,
+                        version,
+                        channel,
+                        sender_name,
+                        tx_epoch,
+                        tx_position,
+                        power_dbm,
                     )
-                )
-            n = len(c_targets)
-            mac_arr = None
-            if n == 0:
-                delays = []
-                seqs = []
-                radios = []
-                rssis = []
-                snrs = []
-                macs = []
-                sinks = []
-            elif n <= 64:
-                # Tuple sort: identical (delay, seq) order to the lexsort
-                # below (seqs are unique so later fields never compare),
-                # and cheaper than five numpy round-trips at typical
-                # neighbourhood sizes.
-                c_targets.sort()
-                delays = []
-                seqs = []
-                radios = []
-                rssis = []
-                snrs = []
-                macs = []
-                sinks = []
-                noise_floor = self.noise_floor_dbm
-                for delay, seq, radio, rssi, rx_mac, sink in c_targets:
-                    delays.append(delay)
-                    seqs.append(seq)
-                    radios.append(radio)
-                    rssis.append(rssi)
-                    snrs.append(rssi - noise_floor)
-                    macs.append(rx_mac)
-                    sinks.append(sink)
-            else:
-                c_delays, c_seqs, c_radios, c_rssis, c_macs, c_sinks = zip(
-                    *c_targets
-                )
-                delay_arr = np.asarray(c_delays)
-                order = np.lexsort((np.asarray(c_seqs), delay_arr))
-                delays = delay_arr[order].tolist()
-                seqs = [c_seqs[k] for k in order]
-                radios = [c_radios[k] for k in order]
-                rssi_arr = np.asarray(c_rssis)[order]
-                rssis = rssi_arr.tolist()
-                # IEEE-exact: elementwise double subtraction rounds
-                # identically to the scalar `rssi - noise_floor`.
-                snrs = (rssi_arr - self.noise_floor_dbm).tolist()
-                macs = [c_macs[k] for k in order]
-                sinks = [c_sinks[k] for k in order]
-                # Large static lists get a numpy view of the MAC column
-                # so lane classification is one vectorized comparison.
-                mac_arr = np.array(macs, dtype=np.uint64)
-            fer_lists = {}
-            delivery_cache = self._delivery_cache
-            if len(delivery_cache) >= LINK_CACHE_MAX_ENTRIES:
-                delivery_cache.pop(next(iter(delivery_cache)))
-            delivery_cache[delivery_key] = (
-                version,
-                tx_epoch,
-                delays,
-                seqs,
-                radios,
-                rssis,
-                snrs,
-                fer_lists,
-                macs,
-                sinks,
-                mac_arr,
+                    if delivery is not None:
+                        self._cache_delivery(delivery_key, delivery)
+        if delivery is not None:
+            self.link_cache_hits += len(delivery[2])
+        else:
+            delivery = self._resolve_static(
+                version, channel, sender_name, tx_epoch, tx_position, power_dbm
             )
+            if tx_epoch is not None:
+                self._cache_delivery(delivery_key, delivery)
+        _v, _e, delays, seqs, radios, rssis, snrs, fer_lists, macs, sinks, mac_arr = (
+            delivery
+        )
+        # Mobile members: re-read the position every transmission (bumping
+        # the epoch on movement, so cached budgets through them
+        # invalidate) and resolve through the link cache.
+        mobile_targets = []
+        mobiles = self._mobiles.get(channel)
+        if mobiles:
+            for rx in mobiles:
+                if rx.name == sender_name:
+                    continue
+                rx_position = self._observed_position(rx, now)
+                loss, delay = self._link(
+                    sender_name, tx_epoch, tx_position, rx, rx_position
+                )
+                rssi = power_dbm - loss
+                if rssi >= rx.radio.rx_sensitivity_dbm:
+                    mobile_targets.append((delay, rx.seq, rx.radio, rssi))
+        if not delays and not mobile_targets:
+            return
         fers: Optional[List[float]] = None
-        fer_model = self._fer
-        if fer_model is not None and self._batch_arrivals and delays:
-            # Per-receiver frame-error probabilities for the *static* list,
-            # derived through the same (snr, rate, length) memo the scalar
-            # path fills lazily at arrival end — the model is pure, so
-            # computing early changes nothing — and cached on the delivery
-            # entry per (rate, length), so a warm transmission reuses the
-            # whole list.  The RNG draw that applies a probability stays
-            # in _ArrivalSpan.end, in arrival order.
+        if self._fer is not None:
+            # Per-receiver frame-error probabilities for the static list,
+            # memoized on the delivery entry per (rate, length) so a warm
+            # transmission reuses the whole list.  The RNG draw that
+            # applies a probability stays in _ArrivalSpan.end_slice, in
+            # arrival-end order.
             rx_cache = transmission.rx_cache
             if rx_cache is None:
                 rx_cache = transmission.rx_cache = {}
@@ -2118,301 +1632,86 @@ class Medium:
             rate = transmission.rate_mbps
             fers = fer_lists.get((rate, length))
             if fers is None:
-                fer_cache = self._fer_cache
-                fers = []
-                append = fers.append
-                for snr in snrs:
-                    fer_key = (snr, rate, length)
-                    probability = fer_cache.get(fer_key)
-                    if probability is None:
-                        probability = fer_model(snr, rate, length)
-                        if len(fer_cache) >= LINK_CACHE_MAX_ENTRIES:
-                            fer_cache.pop(next(iter(fer_cache)))
-                        fer_cache[fer_key] = probability
-                    append(probability)
+                fers = [self._fer_probability(snr, rate, length) for snr in snrs]
                 if len(fer_lists) >= 8:
                     fer_lists.pop(next(iter(fer_lists)))
                 fer_lists[(rate, length)] = fers
-        mobiles = self._mobiles.get(channel)
-        if mobiles:
-            noise_floor = self.noise_floor_dbm
-            wavelength = 299_792_458.0 / self.frequency_hz
-            rate_length: Optional[Tuple[float, int]] = None
+        if mobile_targets:
+            # Merge-insert by (delay, attach_seq): the order a full sort
+            # gives.  The cached lists stay untouched; the merged copies
+            # are span-private.
+            delays = list(delays)
+            seqs = list(seqs)
+            radios = list(radios)
+            rssis = list(rssis)
+            snrs = list(snrs)
+            macs = list(macs)
+            sinks = list(sinks)
+            mac_arr = None  # merged copies diverge from the cached array
             if fers is not None:
-                rate_length = (transmission.rate_mbps, transmission.rx_cache["len"])
-            mobile_targets = []
-            for rx in mobiles:
-                rx_name = rx.name
-                if rx_name == sender_name:
-                    continue
-                radio = rx.radio
-                rx_position = radio.current_position(now)
-                last = rx.last_pos
-                if rx_position is not last and rx_position != last:
-                    rx.last_pos = rx_position
-                    rx.epoch += 1
-                key = (sender_name, rx_name)
-                cached = cache.get(key)
-                if (
-                    cached is not None
-                    and cached[0] == tx_epoch
-                    and cached[1] == rx.epoch
-                ):
-                    loss = cached[2]
-                    delay = cached[3]
-                    hits += 1
-                else:
-                    if free_space:
-                        distance = tx_position.distance_to(rx_position)
-                        loss = 20.0 * math.log10(
-                            4.0 * math.pi * max(distance, 1.0) / wavelength
-                        )
-                        delay = distance / 299_792_458.0
-                    else:
-                        loss = path_loss(tx_position, rx_position)
-                        delay = tx_position.propagation_delay_to(rx_position)
-                    if len(cache) >= LINK_CACHE_MAX_ENTRIES:
-                        cache.pop(next(iter(cache)))
-                    cache[key] = (tx_epoch, rx.epoch, loss, delay)
-                    misses += 1
-                rssi = power_dbm - loss
-                if rssi < radio.rx_sensitivity_dbm:
-                    continue
-                # MAC / sink capture happens at merge-insert below, so
-                # out-of-range mobiles never pay for it.
-                mobile_targets.append((delay, rx.seq, radio, rssi))
-            if mobile_targets:
-                # Merge-insert by (delay, attach_seq): identical order to
-                # the scalar path's concatenate-then-sort (seqs are
-                # unique, so the sort never compares further fields).
-                # The cached lists stay untouched; the merged copies are
-                # span-private.
-                delays = list(delays)
-                seqs = list(seqs)
-                radios = list(radios)
-                rssis = list(rssis)
-                snrs = list(snrs)
-                macs = list(macs)
-                sinks = list(sinks)
-                mac_arr = None  # merged copies diverge from the cached array
+                fers = list(fers)
+            noise_floor = self.noise_floor_dbm
+            for delay, seq, radio, rssi in mobile_targets:
+                k = _slot(delays, seqs, delay, seq)
+                delays.insert(k, delay)
+                seqs.insert(k, seq)
+                radios.insert(k, radio)
+                rssis.insert(k, rssi)
+                macs.insert(k, _rx_mac(radio))
+                sinks.insert(k, _batch_sink(radio))
+                snr = rssi - noise_floor
+                snrs.insert(k, snr)
                 if fers is not None:
-                    fers = list(fers)
-                    fer_cache = self._fer_cache
-                for delay, seq, radio, rssi in mobile_targets:
-                    lo, hi = 0, len(delays)
-                    while lo < hi:
-                        mid = (lo + hi) // 2
-                        if delays[mid] < delay or (
-                            delays[mid] == delay and seqs[mid] < seq
-                        ):
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    delays.insert(lo, delay)
-                    seqs.insert(lo, seq)
-                    radios.insert(lo, radio)
-                    rssis.insert(lo, rssi)
-                    rx_mac = getattr(radio, "rx_mac_u64", None)
-                    macs.insert(lo, _NO_MAC if rx_mac is None else rx_mac)
-                    sinks.insert(lo, _batch_sink(radio))
-                    snr = rssi - noise_floor
-                    snrs.insert(lo, snr)
-                    if fers is not None:
-                        fer_key = (snr, rate_length[0], rate_length[1])
-                        probability = fer_cache.get(fer_key)
-                        if probability is None:
-                            probability = fer_model(snr, *rate_length)
-                            if len(fer_cache) >= LINK_CACHE_MAX_ENTRIES:
-                                fer_cache.pop(next(iter(fer_cache)))
-                            fer_cache[fer_key] = probability
-                        fers.insert(lo, probability)
-        self.link_cache_hits += hits
-        self.link_cache_misses += misses
-        if not delays:
-            return
-        if self._batch_arrivals:
-            span = _ArrivalSpan(
-                self, transmission, radios, rssis, snrs, fers, macs, sinks, mac_arr
-            )
-            if self._batched_reception:
-                engine.post_batch(
-                    EventBatch(
-                        engine, span.begin_slice, now, 0.0, delays, None, True
-                    )
-                )
-                engine.post_batch(
-                    EventBatch(
-                        engine, span.end_slice, now, duration, delays, None, True
-                    )
-                )
-            else:
-                engine.post_batch(
-                    EventBatch(engine, span.begin, now, 0.0, delays, None)
-                )
-                engine.post_batch(
-                    EventBatch(engine, span.end, now, duration, delays, None)
-                )
-        else:
-            # Vectorized resolution, per-receiver scheduling: identical
-            # to the legacy branch in transmit() — one two-phase
-            # _Arrival per receiver, sequence numbers advancing as
-            # post() would.
-            heap = engine._heap
-            seq = engine._scheduled
-            for k in range(len(delays)):
-                heappush(
-                    heap,
-                    (
-                        now + delays[k],
-                        seq,
-                        _Arrival(self, radios[k], transmission, rssis[k]),
-                    ),
-                )
-                seq += 1
-            engine._scheduled = seq
-            if len(heap) > engine._heap_peak:
-                engine._heap_peak = len(heap)
-
-    # ------------------------------------------------------------------
-    # Arrival lifecycle
-    # ------------------------------------------------------------------
-    def _arrival_begin(self, arrival: _Arrival) -> None:
-        """First symbol reaches the antenna: join the receiver's air state."""
-        name = arrival.radio.name
-        ongoing = self._ongoing.get(name)
-        if ongoing is None:
-            ongoing = self._ongoing[name] = []
-        tx_end = self._transmitting.get(name)
-        if tx_end is not None and tx_end > self.engine.clock._now:
-            arrival.corrupted = True
-            arrival.corrupt_reason = CorruptionReason.RECEIVER_TRANSMITTING
-        if ongoing:
-            self._resolve_overlap(ongoing, arrival)
-        ongoing.append(arrival)
-        arrival.ongoing = ongoing
-
-    def _arrival_start(self, arrival: _Arrival) -> None:
-        """Per-receiver path: join the air state, then self-post the end.
-
-        Batched scheduling never calls this — the end batch already
-        carries every arrival — so only the ``batch_arrivals=False``
-        two-phase :class:`_Arrival` callback reaches it.
-        """
-        self._arrival_begin(arrival)
-        # Inlined Engine.post (see transmit()): the end-phase callback is
-        # always in the future and never cancelled.
-        engine = self.engine
-        seq = engine._scheduled
-        engine._scheduled = seq + 1
-        heap = engine._heap
-        heappush(
-            heap, (engine.clock._now + arrival.transmission.duration, seq, arrival)
+                    fers.insert(k, self._fer_probability(snr, rate, length))
+        span = _ArrivalSpan(
+            self, transmission, radios, rssis, snrs, fers, macs, sinks, mac_arr
         )
-        if len(heap) > engine._heap_peak:
-            engine._heap_peak = len(heap)
+        engine.post_batch(EventBatch(engine, span.begin_slice, now, 0.0, delays))
+        engine.post_batch(EventBatch(engine, span.end_slice, now, duration, delays))
 
-    def _resolve_overlap(self, ongoing: list, new) -> None:
+    # ------------------------------------------------------------------
+    # Capture
+    # ------------------------------------------------------------------
+    def _resolve_overlap(self, ongoing: list, new: tuple) -> None:
         """Apply the capture model between ``new`` and live arrivals.
 
-        Handles are :class:`_Arrival` objects (scalar path) and/or
-        ``(span, index)`` tuples (vectorized path); a receiver can hold
-        a mix, e.g. an unattached sender's scalar arrival overlapping a
-        span's.  The comparisons are value-identical to the old
-        scalar-only resolver.
+        ``ongoing`` holds a receiver's in-flight ``(span, index)``
+        handles; corrupted ones no longer compete.
         """
         live = []
         strongest = -math.inf
         for handle in ongoing:
-            if type(handle) is tuple:
-                span, j = handle
-                if span.reasons[j] is not None:
-                    continue
-                rssi = span.rssis[j]
-            else:
-                if handle.corrupted:
-                    continue
-                rssi = handle.rssi_dbm
+            span, j = handle
+            if span.reasons[j] is not None:
+                continue
             live.append(handle)
+            rssi = span.rssis[j]
             if rssi > strongest:
                 strongest = rssi
         if not live:
             return
-        new_rssi = _handle_rssi(new)
-        if new_rssi >= strongest + self.capture_threshold_db:
-            for handle in live:
-                _corrupt_handle(handle, CorruptionReason.CAPTURED_BY_STRONGER)
-        elif new_rssi <= strongest - self.capture_threshold_db:
-            _corrupt_handle(new, CorruptionReason.LOCKED_ON_STRONGER)
+        new_span, new_j = new
+        new_rssi = new_span.rssis[new_j]
+        threshold = self.capture_threshold_db
+        if new_rssi >= strongest + threshold:
+            for span, j in live:
+                span.reasons[j] = CorruptionReason.CAPTURED_BY_STRONGER
+        elif new_rssi <= strongest - threshold:
+            new_span.reasons[new_j] = CorruptionReason.LOCKED_ON_STRONGER
         else:
-            _corrupt_handle(new, CorruptionReason.COLLISION)
-            for handle in live:
-                _corrupt_handle(handle, CorruptionReason.COLLISION)
+            new_span.reasons[new_j] = CorruptionReason.COLLISION
+            for span, j in live:
+                span.reasons[j] = CorruptionReason.COLLISION
 
-    def _arrival_end(self, arrival: _Arrival) -> None:
-        """Last symbol received: resolve FER, build the Reception, hand up."""
-        radio = arrival.radio
-        name = radio.name
-        ongoing = arrival.ongoing
-        if ongoing:
-            try:
-                ongoing.remove(arrival)
-            except ValueError:
-                pass
-        if name not in self._radios:
-            return  # detached mid-flight
-        transmission = arrival.transmission
-        rssi = arrival.rssi_dbm
-        snr = rssi - self.noise_floor_dbm
-        corrupted = arrival.corrupted
-        fcs_ok = not corrupted
-        if fcs_ok and self._fer is not None:
-            cache = transmission.rx_cache
-            if cache is None:
-                cache = transmission.rx_cache = {}
-            length = cache.get("len")
-            if length is None:
-                getter = getattr(transmission.frame, "wire_length", None)
-                length = (getter() or 0) if getter is not None else 0
-                cache["len"] = length
-            rate = transmission.rate_mbps
-            fer_cache = self._fer_cache
-            fer_key = (snr, rate, length)
-            probability = fer_cache.get(fer_key)
-            if probability is None:
-                probability = self._fer(snr, rate, length)
-                if len(fer_cache) >= LINK_CACHE_MAX_ENTRIES:
-                    fer_cache.pop(next(iter(fer_cache)))
-                fer_cache[fer_key] = probability
-            if probability > 0.0 and self._rng_draw() < probability:
-                fcs_ok = False
-        if fcs_ok:
-            ctr = self._ctr_delivered
-            if ctr is not None:
-                ctr.value += 1
+
+def _insert_by_seq(entries: List[_RadioEntry], entry: _RadioEntry) -> None:
+    """Insert ``entry`` keeping ``entries`` sorted by attachment seq."""
+    lo, hi = 0, len(entries)
+    seq = entry.seq
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if entries[mid].seq < seq:
+            lo = mid + 1
         else:
-            ctr = self._ctr_dropped
-            if ctr is not None:
-                ctr.value += 1
-        now = self.engine.clock._now
-        csi = None
-        if self._csi_model is not None:
-            csi = self._csi_model(transmission.sender, name, now)
-        while_transmitting = (
-            arrival.corrupt_reason is CorruptionReason.RECEIVER_TRANSMITTING
-        )
-        # Positional construction: 10 keyword arguments per Reception is
-        # measurable at wardrive arrival rates.
-        radio.on_reception(
-            Reception(
-                transmission.frame,
-                transmission,
-                rssi,
-                snr,
-                transmission.start,
-                now,
-                fcs_ok,
-                corrupted and not while_transmitting,
-                while_transmitting,
-                csi,
-            )
-        )
+            hi = mid
+    entries.insert(lo, entry)
